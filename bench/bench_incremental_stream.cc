@@ -1,5 +1,5 @@
 // Streaming-engine throughput: incremental coordination core versus
-// the from-scratch-rebuild reference path.
+// the from-scratch ReferenceCoordinator (testing/reference_coordinator.h).
 //
 // Scenario: a backlog of `pending` stuck queries (each waiting on a
 // postcondition nobody answers — the §6.1 steady state of requests that
@@ -7,9 +7,9 @@
 // mutually-entangled pairs arrives under the eager per-arrival policy.
 // The incremental core admits an arrival through its per-relation
 // unification index and evaluates just the arrival's component (a
-// union-find lookup); the reference path rebuilds the coordination
-// graph over the whole pending set for every arrival, which is
-// O(pending²) atom-pair work per submission.
+// union-find lookup); the reference rebuilds the coordination graph over
+// the whole pending set for every arrival, which is O(pending²)
+// atom-pair work per submission.
 //
 // A second series measures Flush() fan-out: N independent coordinating
 // components evaluated by 1 vs. several worker threads.
@@ -21,6 +21,7 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "system/engine.h"
+#include "testing/reference_coordinator.h"
 #include "workload/social_data.h"
 
 namespace entangled {
@@ -65,39 +66,37 @@ struct StreamOutcome {
 
 /// Preloads the stuck backlog without evaluation, switches to the eager
 /// per-arrival policy, then streams pair arrivals until `max_arrivals`
-/// or the time budget runs out (the rebuild path is far too slow to
-/// stream thousands of arrivals at a 10k backlog).
-StreamOutcome RunStream(bool incremental, size_t pending,
+/// or the time budget runs out (the reference is far too slow to stream
+/// thousands of arrivals at a 10k backlog).
+StreamOutcome RunStream(CoordinationService* engine, size_t pending,
                         size_t max_arrivals, double budget_seconds) {
-  EngineOptions options;
-  options.incremental = incremental;
-  options.evaluate_every = 0;
-  CoordinationEngine engine(&SocialDb(), options);
+  engine->set_evaluate_every(0);
   for (size_t i = 0; i < pending; ++i) {
-    auto id = engine.Submit(StuckQuery(i));
+    auto id = engine->Submit(StuckQuery(i));
     ENTANGLED_CHECK(id.ok()) << id.status();
   }
-  engine.set_evaluate_every(1);
+  engine->set_evaluate_every(1);
 
   StreamOutcome outcome;
-  const uint64_t db_before = engine.stats().db_queries;
+  const uint64_t db_before = engine->StatsSnapshot().db_queries;
   WallTimer timer;
   size_t pair = 0;
   while (outcome.arrivals < max_arrivals &&
          (outcome.arrivals < 2 ||
           timer.ElapsedSeconds() < budget_seconds)) {
     for (const std::string& text : PairQueries(pair++)) {
-      auto id = engine.Submit(text);
+      auto id = engine->Submit(text);
       ENTANGLED_CHECK(id.ok()) << id.status();
       ++outcome.arrivals;
     }
   }
   outcome.seconds = timer.ElapsedSeconds();
-  outcome.sets = engine.stats().coordinating_sets;
-  outcome.db_queries = engine.stats().db_queries - db_before;
+  const EngineStats stats = engine->StatsSnapshot();
+  outcome.sets = stats.coordinating_sets;
+  outcome.db_queries = stats.db_queries - db_before;
   ENTANGLED_CHECK_EQ(outcome.sets, static_cast<uint64_t>(pair))
       << "every pair must coordinate on its second arrival";
-  ENTANGLED_CHECK_EQ(engine.PendingQueries().size(), pending)
+  ENTANGLED_CHECK_EQ(engine->PendingQueries().size(), pending)
       << "the stuck backlog must survive untouched";
   return outcome;
 }
@@ -109,10 +108,12 @@ void StreamSeries() {
       {"pending", "incremental_qps", "rebuild_qps", "speedup"});
   double speedup_at_10k = 0;
   for (size_t pending : {size_t{1000}, size_t{10000}}) {
-    StreamOutcome fast = RunStream(/*incremental=*/true, pending,
+    CoordinationEngine incremental(&SocialDb());
+    StreamOutcome fast = RunStream(&incremental, pending,
                                    /*max_arrivals=*/2000,
                                    /*budget_seconds=*/5.0);
-    StreamOutcome slow = RunStream(/*incremental=*/false, pending,
+    ReferenceCoordinator reference(&SocialDb());
+    StreamOutcome slow = RunStream(&reference, pending,
                                    /*max_arrivals=*/2000,
                                    /*budget_seconds=*/2.0);
     const double speedup = fast.qps() / slow.qps();
@@ -131,11 +132,11 @@ void StreamSeries() {
          {"speedup", speedup}});
   }
   benchutil::PrintNote(
-      "the reference path rebuilds the coordination graph over the whole "
-      "pending set per arrival; the incremental index touches only the "
-      "arrival's relation buckets and component");
+      "the reference coordinator (rebuild_*) rebuilds the coordination "
+      "graph over the whole pending set per arrival; the incremental index "
+      "touches only the arrival's relation buckets and component");
   ENTANGLED_CHECK_GE(speedup_at_10k, 5.0)
-      << "incremental core must beat the from-scratch rebuild by >= 5x "
+      << "incremental core must beat the from-scratch reference by >= 5x "
          "sustained submissions/sec at a 10k pending backlog";
 }
 

@@ -36,7 +36,6 @@ constexpr char kChurnRelation[] = "BenchChurn";
 Outcome Replay(Database* db, const GeneratedWorkload& workload,
                size_t flush_threads) {
   EngineOptions options;
-  options.incremental = true;
   options.flush_threads = flush_threads;
   CoordinationEngine engine(db, options);
   WallTimer timer;

@@ -1,7 +1,6 @@
 #include "system/engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <queue>
 #include <utility>
 
@@ -10,6 +9,14 @@
 #include "core/parser.h"
 
 namespace entangled {
+namespace {
+
+/// Dirty components each participant of a parallel flush claims per
+/// atomic operation (ThreadPool::RunChunked).  Scheduling only: outputs
+/// never depend on it.
+constexpr size_t kFlushChunk = 8;
+
+}  // namespace
 
 CoordinationEngine::CoordinationEngine(const Database* db,
                                        EngineOptions options)
@@ -17,7 +24,6 @@ CoordinationEngine::CoordinationEngine(const Database* db,
       options_(options),
       owner_thread_(std::this_thread::get_id()) {
   ENTANGLED_CHECK(db != nullptr);
-  delta_armed_ = options_.incremental && options_.delta_eval;
   last_db_version_ = db_->version();
   if (options_.intake_capacity > 0) {
     intake_ =
@@ -208,19 +214,11 @@ void CoordinationEngine::DrainIntake() {
     if (event.cadence && options_.evaluate_every > 0 &&
         ++since_last_eval_ >= options_.evaluate_every) {
       since_last_eval_ = 0;
-      if (options_.incremental) {
-        EvaluateComponentOf(predicted);
-      } else {
-        LegacyEvaluateComponentOf(predicted);
-      }
+      EvaluateComponentOf(predicted);
     }
     if (event.batch_tail && options_.evaluate_every > 0) {
       since_last_eval_ = 0;
-      if (options_.incremental) {
-        IncrementalFlush();
-      } else {
-        LegacyFlush();
-      }
+      IncrementalFlush();
     }
   }
   draining_ = false;
@@ -242,65 +240,61 @@ void CoordinationEngine::IndexQuery(QueryId id) {
   pending_[static_cast<size_t>(id)] = true;
   ++num_pending_;
 
-  if (options_.incremental) {
-    // Every new id starts as its own singleton component.
-    while (uf_parent_.size() < n) {
-      QueryId q = static_cast<QueryId>(uf_parent_.size());
-      uf_parent_.push_back(q);
-      uf_size_.push_back(1);
-      comp_min_.push_back(key_of(q));
-      comp_members_.push_back({q});
-    }
-    // Index the arrival; its incident edges are exactly the new ones.
-    graph_.AddQuery(all_, id);
-
-    // Persistent-subset maintenance must see the component partition
-    // *before* the arrival's unions: an arrival joining exactly one
-    // existing component extends its state in place (appending the
-    // newest id reproduces a rebuild byte for byte); an arrival gluing
-    // several components together invalidates all their states — the
-    // concatenation would not be the ascending-id dense subset a
-    // rebuild produces.
-    QueryId extended_root = -1;
-    if (delta_armed_) {
-      std::vector<QueryId> neighbour_roots;
-      auto note = [&](QueryId neighbour) {
-        if (neighbour == id) return;  // self-loop: no pre-existing root
-        QueryId root = FindRoot(neighbour);
-        for (QueryId seen : neighbour_roots) {
-          if (seen == root) return;
-        }
-        neighbour_roots.push_back(root);
-      };
-      for (size_t e : graph_.OutEdges(id)) note(graph_.edge(e).to);
-      for (size_t e : graph_.InEdges(id)) note(graph_.edge(e).from);
-      if (neighbour_roots.size() == 1) {
-        ExtendComponentState(neighbour_roots.front(), id);
-        extended_root = neighbour_roots.front();
-      } else if (neighbour_roots.size() > 1) {
-        for (QueryId root : neighbour_roots) DoomComponentState(root);
-      }
-    }
-
-    for (size_t e : graph_.OutEdges(id)) {
-      UnionComps(id, graph_.edge(e).to);
-    }
-    for (size_t e : graph_.InEdges(id)) {
-      UnionComps(id, graph_.edge(e).from);
-    }
-    const QueryId new_root = FindRoot(id);
-    if (extended_root >= 0 && new_root != extended_root) {
-      // The union picked the arrival as the surviving root (two
-      // singletons): re-key the extended state under it.
-      auto it = comp_states_.find(extended_root);
-      if (it != comp_states_.end()) {
-        auto state = std::move(it->second);
-        comp_states_.erase(it);
-        comp_states_.emplace(new_root, std::move(state));
-      }
-    }
-    dirty_roots_.insert(new_root);
+  // Every new id starts as its own singleton component.
+  while (uf_parent_.size() < n) {
+    QueryId q = static_cast<QueryId>(uf_parent_.size());
+    uf_parent_.push_back(q);
+    uf_size_.push_back(1);
+    comp_min_.push_back(key_of(q));
+    comp_members_.push_back({q});
   }
+  // Index the arrival; its incident edges are exactly the new ones.
+  graph_.AddQuery(all_, id);
+
+  // Persistent-subset maintenance must see the component partition
+  // *before* the arrival's unions: an arrival joining exactly one
+  // existing component extends its state in place (appending the
+  // newest id reproduces a rebuild byte for byte); an arrival gluing
+  // several components together invalidates all their states — the
+  // concatenation would not be the ascending-id dense subset a
+  // rebuild produces.
+  std::vector<QueryId> neighbour_roots;
+  auto note = [&](QueryId neighbour) {
+    if (neighbour == id) return;  // self-loop: no pre-existing root
+    QueryId root = FindRoot(neighbour);
+    for (QueryId seen : neighbour_roots) {
+      if (seen == root) return;
+    }
+    neighbour_roots.push_back(root);
+  };
+  for (size_t e : graph_.OutEdges(id)) note(graph_.edge(e).to);
+  for (size_t e : graph_.InEdges(id)) note(graph_.edge(e).from);
+  QueryId extended_root = -1;
+  if (neighbour_roots.size() == 1) {
+    ExtendComponentState(neighbour_roots.front(), id);
+    extended_root = neighbour_roots.front();
+  } else if (neighbour_roots.size() > 1) {
+    for (QueryId root : neighbour_roots) DoomComponentState(root);
+  }
+
+  for (size_t e : graph_.OutEdges(id)) {
+    UnionComps(id, graph_.edge(e).to);
+  }
+  for (size_t e : graph_.InEdges(id)) {
+    UnionComps(id, graph_.edge(e).from);
+  }
+  const QueryId new_root = FindRoot(id);
+  if (extended_root >= 0 && new_root != extended_root) {
+    // The union picked the arrival as the surviving root (two
+    // singletons): re-key the extended state under it.
+    auto it = comp_states_.find(extended_root);
+    if (it != comp_states_.end()) {
+      auto state = std::move(it->second);
+      comp_states_.erase(it);
+      comp_states_.emplace(new_root, std::move(state));
+    }
+  }
+  dirty_roots_.insert(new_root);
 }
 
 void CoordinationEngine::Admit(QueryId id) {
@@ -310,11 +304,7 @@ void CoordinationEngine::Admit(QueryId id) {
   if (options_.evaluate_every > 0 &&
       ++since_last_eval_ >= options_.evaluate_every) {
     since_last_eval_ = 0;
-    if (options_.incremental) {
-      EvaluateComponentOf(id);
-    } else {
-      LegacyEvaluateComponentOf(id);
-    }
+    EvaluateComponentOf(id);
   }
 }
 
@@ -328,13 +318,11 @@ bool CoordinationEngine::Cancel(QueryId id) {
   pending_[static_cast<size_t>(id)] = false;
   --num_pending_;
   ++stats_.cancelled;
-  if (options_.incremental) {
-    std::vector<QueryId> fragment_roots = RetireAndRepartition({id});
-    if (options_.fault.lose_dirty_on_cancel) {
-      // Test-only fault: drop the re-evaluation marks the repartition
-      // just made (see EngineFaultInjection::lose_dirty_on_cancel).
-      for (QueryId root : fragment_roots) dirty_roots_.erase(root);
-    }
+  std::vector<QueryId> fragment_roots = RetireAndRepartition({id});
+  if (options_.fault.lose_dirty_on_cancel) {
+    // Test-only fault: drop the re-evaluation marks the repartition
+    // just made (see EngineFaultInjection::lose_dirty_on_cancel).
+    for (QueryId root : fragment_roots) dirty_roots_.erase(root);
   }
   return true;
 }
@@ -364,7 +352,6 @@ bool CoordinationEngine::IsPending(QueryId id) const {
 
 std::vector<QueryId> CoordinationEngine::ComponentOf(QueryId id) const {
   ENTANGLED_CHECK(IsPending(id)) << "query " << id << " is not pending";
-  if (!options_.incremental) return LegacyComponentOf(id);
   std::vector<QueryId> component =
       comp_members_[static_cast<size_t>(FindRoot(id))];
   std::sort(component.begin(), component.end());
@@ -467,8 +454,7 @@ std::vector<QueryId> CoordinationEngine::RetireAndRepartition(
 
 void CoordinationEngine::BuildTask(QueryId root, EvalTask* task) const {
   // Member scratch dies with the flush: one arena bump instead of a
-  // heap vector per evaluation.  The task's own vectors are reused
-  // (capacity retained across flushes by the slot pool).
+  // heap vector per evaluation.
   const std::vector<QueryId>& src =
       comp_members_[static_cast<size_t>(FindRoot(root))];
   ENTANGLED_CHECK(!src.empty());
@@ -509,8 +495,8 @@ void CoordinationEngine::BuildTask(QueryId root, EvalTask* task) const {
     }
   }
   // Canonical order — byte-identical to what a batch graph build over
-  // the same subset would enumerate, so both engine paths hand the
-  // solver bit-identical inputs.
+  // the same subset would enumerate, so the solver sees exactly the
+  // input the from-scratch oracle's Solve(subset) derives.
   std::sort(task->edges.begin(), task->edges.end(),
             [](const ExtendedEdge& a, const ExtendedEdge& b) {
               if (a.from != b.from) return a.from < b.from;
@@ -522,14 +508,15 @@ void CoordinationEngine::BuildTask(QueryId root, EvalTask* task) const {
 }
 
 CoordinationEngine::EvalOutcome CoordinationEngine::RunTask(
-    const EvalTask& task, EvalMemo* memo) const {
-  // Runs on a worker thread in parallel flushes: touches only the task,
-  // its component's private memo, the read-only database, and a private
-  // coordinator.
+    ComponentState* state) const {
+  // Runs on a worker thread in parallel flushes: touches only the
+  // component's task and private memo, the read-only database, and a
+  // private coordinator.
   EvalOutcome outcome;
   WallTimer timer;
   SccCoordinator coordinator(db_, options_.scc);
-  auto result = coordinator.Solve(task.subset, task.edges, memo);
+  auto result =
+      coordinator.Solve(state->task.subset, state->task.edges, &state->memo);
   outcome.eval_nanos = timer.ElapsedNanos();
   outcome.db_queries = coordinator.stats().db_queries;
   outcome.memo_hits = coordinator.stats().memo_hits;
@@ -543,7 +530,7 @@ CoordinationEngine::EvalOutcome CoordinationEngine::RunTask(
 }
 
 // ---------------------------------------------------------------------------
-// Delta-aware evaluation (EngineOptions::delta_eval)
+// Delta-aware evaluation
 // ---------------------------------------------------------------------------
 
 CoordinationEngine::ComponentState* CoordinationEngine::EnsureComponentState(
@@ -704,23 +691,17 @@ bool CoordinationEngine::EvaluateComponentOf(QueryId root) {
   doomed_states_.clear();  // previous round's references are released
   dirty_roots_.erase(FindRoot(root));
   flush_arena_.Reset();
-  if (delta_armed_) {
-    ComponentState* state = EnsureComponentState(root);
-    if (CanSkipEvaluation(*state)) {
-      ++stats_.evaluations_avoided;
-      return false;
-    }
-    ++stats_.evaluations;
-    const bool delivered =
-        ApplyOutcome(state->task, RunTask(state->task, &state->memo));
-    // On delivery the state was doomed by the repartition; on failure
-    // it survives — arm the skip fingerprint.
-    if (!delivered) RecordCleanFailure(state);
-    return delivered;
+  ComponentState* state = EnsureComponentState(root);
+  if (CanSkipEvaluation(*state)) {
+    ++stats_.evaluations_avoided;
+    return false;
   }
-  BuildTask(root, &arrival_task_);
   ++stats_.evaluations;
-  return ApplyOutcome(arrival_task_, RunTask(arrival_task_));
+  const bool delivered = ApplyOutcome(state->task, RunTask(state));
+  // On delivery the state was doomed by the repartition; on failure it
+  // survives — arm the skip fingerprint.
+  if (!delivered) RecordCleanFailure(state);
+  return delivered;
 }
 
 ThreadPool* CoordinationEngine::FlushPool() {
@@ -746,12 +727,10 @@ size_t CoordinationEngine::IncrementalFlush() {
   size_t ran_watermark = 0;  // slots below this have outcomes
 
   // Facts changed since the last flush: every pending component's last
-  // verdict is potentially stale, exactly as the from-scratch reference
-  // path (which re-examines everything each Flush) would discover.
-  // Mark all live components dirty — independent of delta_eval, so both
-  // settings stay byte-identical to the oracle; with delta_eval armed
-  // the stamp fingerprints below prune the flood back down to the
-  // components that actually read a mutated relation.
+  // verdict is potentially stale, exactly as the from-scratch oracle
+  // (which re-examines everything each Flush) would discover.  Mark all
+  // live components dirty; the stamp fingerprints below prune the flood
+  // back down to the components that actually read a mutated relation.
   if (db_->version() != last_db_version_) {
     last_db_version_ = db_->version();
     for (size_t i = 0; i < pending_.size(); ++i) {
@@ -762,7 +741,7 @@ size_t CoordinationEngine::IncrementalFlush() {
   }
 
   // Results are applied strictly in ascending smallest-member-key order
-  // — the order the reference path discovers components in — so
+  // — the order the from-scratch oracle discovers components in — so
   // delivery order is deterministic and thread-count-independent.
   using HeapItem = std::pair<QueryId, size_t>;  // (min_key, slot index)
   using HeapVec = std::vector<HeapItem, ArenaAllocator<HeapItem>>;
@@ -770,27 +749,18 @@ size_t CoordinationEngine::IncrementalFlush() {
       std::greater<HeapItem>(), HeapVec(ArenaAllocator<HeapItem>(&flush_arena_))};
 
   auto dispatch = [&](QueryId root) {
-    ComponentState* state = nullptr;
-    if (delta_armed_) {
-      state = EnsureComponentState(root);
-      if (CanSkipEvaluation(*state)) {
-        // Provably the same failure as last time: skip the solver.
-        ++stats_.evaluations_avoided;
-        return;
-      }
+    ComponentState* state = EnsureComponentState(root);
+    if (CanSkipEvaluation(*state)) {
+      // Provably the same failure as last time: skip the solver.
+      ++stats_.evaluations_avoided;
+      return;
     }
     if (eval_slots_used_ == eval_slots_.size()) eval_slots_.emplace_back();
     PendingEval& eval = eval_slots_[eval_slots_used_];
     eval.state = state;
-    if (state != nullptr) {
-      eval.task_ptr = &state->task;
-    } else {
-      BuildTask(root, &eval.task);
-      eval.task_ptr = &eval.task;
-    }
     eval.ran = false;
     ++stats_.evaluations;
-    apply_order.push({eval.task_ptr->min_key, eval_slots_used_});
+    apply_order.push({state->task.min_key, eval_slots_used_});
     ++eval_slots_used_;
   };
 
@@ -805,18 +775,16 @@ size_t CoordinationEngine::IncrementalFlush() {
     if (pool == nullptr) {
       for (size_t i = begin; i < eval_slots_used_; ++i) {
         PendingEval& eval = eval_slots_[i];
-        eval.outcome = RunTask(*eval.task_ptr,
-                               eval.state ? &eval.state->memo : nullptr);
+        eval.outcome = RunTask(eval.state);
         eval.ran = true;
       }
     } else {
       // Workers write into disjoint pre-sized slots; no slot is created
       // or destroyed while the wave runs, so the deque is stable (and
       // each component's state/memo is touched by exactly one worker).
-      pool->RunChunked(n, options_.flush_chunk, [this, begin](size_t i) {
+      pool->RunChunked(n, kFlushChunk, [this, begin](size_t i) {
         PendingEval& eval = eval_slots_[begin + i];
-        eval.outcome = RunTask(*eval.task_ptr,
-                               eval.state ? &eval.state->memo : nullptr);
+        eval.outcome = RunTask(eval.state);
         eval.ran = true;
       });
     }
@@ -844,7 +812,7 @@ size_t CoordinationEngine::IncrementalFlush() {
     apply_order.pop();
     PendingEval& eval = eval_slots_[index];
     std::vector<QueryId> fragment_roots;
-    if (ApplyOutcome(*eval.task_ptr, std::move(eval.outcome),
+    if (ApplyOutcome(eval.state->task, std::move(eval.outcome),
                      &fragment_roots)) {
       ++delivered;
       // A delivery shrank its component; the surviving fragments may
@@ -853,7 +821,7 @@ size_t CoordinationEngine::IncrementalFlush() {
         dirty_roots_.erase(root);
         dispatch(root);
       }
-    } else if (eval.state != nullptr) {
+    } else {
       RecordCleanFailure(eval.state);
     }
   }
@@ -863,15 +831,13 @@ size_t CoordinationEngine::IncrementalFlush() {
 size_t CoordinationEngine::Flush() {
   CheckNotReentrant("Flush");
   DrainIntake();
-  return options_.incremental ? IncrementalFlush() : LegacyFlush();
+  return IncrementalFlush();
 }
 
 bool CoordinationEngine::EvaluateNow(QueryId id) {
   CheckNotReentrant("EvaluateNow");
   DrainIntake();
-  if (!IsPending(id)) return false;
-  return options_.incremental ? EvaluateComponentOf(id)
-                              : LegacyEvaluateComponentOf(id);
+  return EvaluateComponentOf(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -895,19 +861,17 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
     pending_[static_cast<size_t>(id)] = false;
   }
   num_pending_ = 0;
-  if (options_.incremental) {
-    graph_ = ExtendedCoordinationGraph();
-    uf_parent_.clear();
-    uf_size_.clear();
-    comp_min_.clear();
-    comp_members_.clear();
-    dirty_roots_.clear();
-    // Migration invalidates the delta caches wholesale: the extracted
-    // queries get new dense ids wherever they land, so neither the
-    // persistent subsets nor the memo keys mean anything there.
-    comp_states_.clear();
-    doomed_states_.clear();
-  }
+  graph_ = ExtendedCoordinationGraph();
+  uf_parent_.clear();
+  uf_size_.clear();
+  comp_min_.clear();
+  comp_members_.clear();
+  dirty_roots_.clear();
+  // Migration invalidates the delta caches wholesale: the extracted
+  // queries get new dense ids wherever they land, so neither the
+  // persistent subsets nor the memo keys mean anything there.
+  comp_states_.clear();
+  doomed_states_.clear();
   return extract;
 }
 
@@ -955,120 +919,6 @@ std::vector<QueryId> CoordinationEngine::AdoptPending(
   }
   for (QueryId id : adopted) IndexQuery(id);
   return adopted;
-}
-
-// ---------------------------------------------------------------------------
-// From-scratch reference path: rebuilds the coordination graph over the
-// whole pending set for every evaluation.  Kept as the differential
-//-testing oracle and as the baseline bench_incremental_stream measures
-// the incremental core against.
-// ---------------------------------------------------------------------------
-
-std::vector<QueryId> CoordinationEngine::LegacyComponentOf(
-    QueryId root) const {
-  // Weak connectivity over the coordination graph of the pending
-  // queries, rebuilt from scratch.
-  std::vector<QueryId> pending = PendingQueries();
-  std::vector<QueryId> original;
-  QuerySet subset = all_.Subset(pending, &original);
-  Digraph graph = BuildCoordinationGraph(subset);
-
-  // Locate root within the subset: `original` is ascending (Subset
-  // preserves PendingQueries' order), so binary search replaces the old
-  // linear scan.
-  auto it = std::lower_bound(original.begin(), original.end(), root);
-  ENTANGLED_CHECK(it != original.end() && *it == root)
-      << "root query is not pending";
-  NodeId root_node = static_cast<NodeId>(it - original.begin());
-
-  std::vector<bool> visited(static_cast<size_t>(graph.num_nodes()), false);
-  std::deque<NodeId> queue{root_node};
-  visited[static_cast<size_t>(root_node)] = true;
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (const auto& neighbours :
-         {graph.Successors(u), graph.Predecessors(u)}) {
-      for (NodeId v : neighbours) {
-        if (!visited[static_cast<size_t>(v)]) {
-          visited[static_cast<size_t>(v)] = true;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  std::vector<QueryId> component;
-  for (size_t i = 0; i < visited.size(); ++i) {
-    if (visited[i]) component.push_back(original[i]);
-  }
-  return component;
-}
-
-bool CoordinationEngine::LegacyEvaluateComponentOf(QueryId root) {
-  if (!IsPending(root)) return false;
-  std::vector<QueryId> component = LegacyComponentOf(root);
-  // Solver input is ordered by schedule key (identical to ascending id
-  // for a never-adopted engine), matching the incremental path.
-  std::sort(component.begin(), component.end(),
-            [this](QueryId a, QueryId b) { return key_of(a) < key_of(b); });
-  std::vector<QueryId> original;
-  std::vector<VarId> original_vars;
-  QuerySet subset = all_.Subset(component, &original, &original_vars);
-
-  SccCoordinator coordinator(db_, options_.scc);
-  ++stats_.evaluations;
-  WallTimer timer;
-  auto result = coordinator.Solve(subset);
-  stats_.eval_latency.Record(timer.ElapsedNanos());
-  stats_.db_queries += coordinator.stats().db_queries;
-  if (!result.ok()) {
-    if (result.status().IsFailedPrecondition()) ++stats_.unsafe_components;
-    return false;
-  }
-
-  // Translate subset ids — queries and witness variables — back to
-  // engine ids and retire the winners.
-  CoordinationSolution solution;
-  result->assignment.ForEach([&](VarId local, const Value& value) {
-    solution.assignment.emplace(
-        original_vars[static_cast<size_t>(local)], value);
-  });
-  for (QueryId local : result->queries) {
-    QueryId engine_id = original[static_cast<size_t>(local)];
-    solution.queries.push_back(engine_id);
-    pending_[static_cast<size_t>(engine_id)] = false;
-    --num_pending_;
-  }
-  std::sort(solution.queries.begin(), solution.queries.end());
-  stats_.coordinated_queries += solution.queries.size();
-  ++stats_.coordinating_sets;
-  // `component` is sorted by key, so its front carries the schedule key.
-  last_delivery_key_ = key_of(component.front());
-  Deliver(solution);
-  return true;
-}
-
-size_t CoordinationEngine::LegacyFlush() {
-  size_t delivered = 0;
-  // Evaluate components in ascending schedule-key order; every delivery
-  // can leave a smaller component that coordinates on its own, so
-  // restart the scan until a full pass delivers nothing.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    std::vector<QueryId> scan = PendingQueries();
-    std::sort(scan.begin(), scan.end(),
-              [this](QueryId a, QueryId b) { return key_of(a) < key_of(b); });
-    for (QueryId id : scan) {
-      if (!IsPending(id)) continue;  // retired earlier in this pass
-      if (LegacyEvaluateComponentOf(id)) {
-        ++delivered;
-        progress = true;
-        break;
-      }
-    }
-  }
-  return delivered;
 }
 
 }  // namespace entangled

@@ -100,32 +100,14 @@ struct EngineOptions {
   /// call Flush().
   size_t evaluate_every = 1;
 
-  /// Maintain the coordination graph and its weakly-connected-component
-  /// partition incrementally (persistent per-relation unification index,
-  /// union-find component lookup, dirty-component scheduling).  When
-  /// false the engine falls back to the from-scratch path — rebuild the
-  /// graph over all pending queries on every evaluation — which exists
-  /// as the reference implementation for differential tests and as the
-  /// baseline for bench_incremental_stream.  Both paths deliver
-  /// identical coordinating sets in identical order.
-  bool incremental = true;
-
   /// Worker threads used by Flush() to evaluate independent dirty
   /// components concurrently (1 = evaluate on the calling thread).
   /// Components are disjoint query sets evaluated against the shared
   /// read-only database, and results are *applied* in deterministic
   /// component order, so outputs do not depend on the thread count.
-  /// Only the incremental path parallelizes.  The flushing thread
-  /// itself participates in evaluation, so `flush_threads = n` runs at
-  /// most n compute threads.
+  /// The flushing thread itself participates in evaluation, so
+  /// `flush_threads = n` runs at most n compute threads.
   size_t flush_threads = 1;
-
-  /// Dirty components claimed per atomic operation by the chunked
-  /// work-stealing flush (ThreadPool::RunChunked): each participant
-  /// grabs `flush_chunk` consecutive evaluation slots at a time instead
-  /// of one closure per component.  Purely a scheduling knob — outputs
-  /// never depend on it.
-  size_t flush_chunk = 8;
 
   /// Capacity of the deferred-admission intake queue.  0 (the default)
   /// admits inline, exactly as before.  > 0 arms a bounded MPSC queue
@@ -144,16 +126,6 @@ struct EngineOptions {
   /// engine here so shard fan-out and component evaluation share one
   /// set of workers instead of spawning a pool per shard.
   ThreadPool* shared_pool = nullptr;
-
-  /// Delta-aware component evaluation (incremental path only): each
-  /// live component keeps a persistent dense subset (extended in place
-  /// on arrivals instead of rebuilt per flush), an EvalMemo of per-R(c)
-  /// sweep verdicts keyed on relation version stamps, and a failure
-  /// fingerprint that lets a dirty-but-unchanged component skip the
-  /// solver entirely (EngineStats::evaluations_avoided).  Outcomes are
-  /// byte-identical to delta_eval = false at every setting — the cache
-  /// is only consulted where a recompute is provably identical.
-  bool delta_eval = true;
 
   /// Passed through to the SCC Coordination Algorithm.
   SccOptions scc;
@@ -253,7 +225,7 @@ class CoordinationService {
 /// SCC Coordination Algorithm, delivers any coordinating set found
 /// through a callback, and retires its queries.
 ///
-/// The incremental core keeps three persistent structures in sync:
+/// The incremental core keeps four persistent structures in sync:
 ///
 ///  * an ExtendedCoordinationGraph over the pending queries, updated per
 ///    arrival through its per-relation unification index (AddQuery) and
@@ -262,10 +234,17 @@ class CoordinationService {
 ///    "which component does this query belong to" is an index lookup
 ///    instead of a graph rebuild + BFS;
 ///  * a dirty-component worklist: only components whose membership
-///    changed since their last evaluation are re-examined by Flush().
+///    changed since their last evaluation are re-examined by Flush();
+///  * per-component evaluation state (delta evaluation): a persistent
+///    dense subset extended in place on arrivals, an EvalMemo of per-R(c)
+///    sweep verdicts keyed on relation version stamps, and a failure
+///    fingerprint that lets a dirty-but-unchanged component skip the
+///    solver (EngineStats::evaluations_avoided).  The cache is consulted
+///    only where a recompute is provably identical.
 ///
 /// Submission is amortized near O(degree of the arriving query); the
-/// from-scratch path this replaces was O(pending²) per arrival.
+/// from-scratch oracle (testing/reference_coordinator.h) rebuilds the
+/// graph at O(pending²) per arrival and delivers byte-identically.
 ///
 /// The public API is single-threaded; Flush() may fan evaluation out to
 /// an internal thread pool (EngineOptions::flush_threads), but callbacks
@@ -316,9 +295,8 @@ class CoordinationEngine : public CoordinationService {
   /// unsafe set safe, so it may coordinate on the next evaluation.
   bool Cancel(QueryId id) override;
 
-  /// Evaluates every dirty pending component (every pending component on
-  /// the from-scratch path); returns the number of coordinating sets
-  /// delivered.
+  /// Evaluates every dirty pending component; returns the number of
+  /// coordinating sets delivered.
   size_t Flush() override;
 
   /// Evaluates just the component of `id` right now — the per-arrival
@@ -432,9 +410,8 @@ class CoordinationEngine : public CoordinationService {
   }
 
   /// Pending queries weakly connected to `id` in the coordination graph
-  /// (including `id`, which must be pending), sorted ascending.  An
-  /// index lookup on the incremental path; a graph rebuild + BFS on the
-  /// from-scratch path.
+  /// (including `id`, which must be pending), sorted ascending: an
+  /// index lookup.
   std::vector<QueryId> ComponentOf(QueryId id) const override;
 
   const EngineStats& stats() const { return stats_; }
@@ -503,16 +480,15 @@ class CoordinationEngine : public CoordinationService {
     int64_t eval_nanos = 0;         ///< solver wall time (worker-side)
   };
 
-  /// Persistent per-component evaluation state (delta_eval), keyed by
-  /// union-find root.  The task's dense subset/maps/edges are extended
-  /// in place when an arrival joins exactly this component — appending
-  /// the newest (largest schedule key) member reproduces byte for byte
-  /// what a rebuild over the key-ordered member list would produce, so
-  /// local ids and variables stay stable and the memo's keys stay
-  /// meaningful.  Any
-  /// other structure change (multi-component merge, cancel or delivery
-  /// repartition, migration) drops the state; it is lazily rebuilt at
-  /// the next evaluation.
+  /// Persistent per-component evaluation state, keyed by union-find
+  /// root.  The task's dense subset/maps/edges are extended in place
+  /// when an arrival joins exactly this component — appending the newest
+  /// (largest schedule key) member reproduces byte for byte what a
+  /// rebuild over the key-ordered member list would produce, so local
+  /// ids and variables stay stable and the memo's keys stay meaningful.
+  /// Any other structure change (multi-component merge, cancel or
+  /// delivery repartition, migration) drops the state; it is lazily
+  /// rebuilt at the next evaluation.
   struct ComponentState {
     EvalTask task;
     EvalMemo memo;  ///< per-R(c) sweep verdicts (algo/scc_coordination.h)
@@ -524,17 +500,13 @@ class CoordinationEngine : public CoordinationService {
     std::vector<std::pair<const Relation*, uint64_t>> stamps;
   };
 
-  /// One reusable evaluation slot: task built on the coordinating
-  /// thread, outcome written by whichever participant claims the slot's
-  /// chunk, applied on the coordinating thread in min-id heap order.
-  /// Slots persist across flushes so a steady-state flush reuses their
-  /// vector capacity instead of allocating per evaluation.  With
-  /// delta_eval armed the slot borrows the component's persistent task
-  /// (`task_ptr` into `state`) instead of building into its own.
+  /// One reusable evaluation slot: the component's persistent state
+  /// (task built on the coordinating thread), outcome written by
+  /// whichever participant claims the slot's chunk, applied on the
+  /// coordinating thread in min-key heap order.  Slots persist across
+  /// flushes so a steady-state flush allocates no slot bookkeeping.
   struct PendingEval {
-    EvalTask task;
-    const EvalTask* task_ptr = nullptr;  ///< &task, or &state->task
-    ComponentState* state = nullptr;     ///< non-null on the delta path
+    ComponentState* state = nullptr;
     EvalOutcome outcome;
     bool ran = false;  ///< outcome valid (read only at wave barriers)
   };
@@ -585,12 +557,14 @@ class CoordinationEngine : public CoordinationService {
   std::vector<QueryId> RetireAndRepartition(
       const std::vector<QueryId>& retired);
 
-  /// Builds `root`'s component evaluation into `*task`, reusing the
-  /// task's vector capacity; member scratch comes from flush_arena_.
+  /// Builds `root`'s component evaluation into `*task`; member scratch
+  /// comes from flush_arena_.
   void BuildTask(QueryId root, EvalTask* task) const;
-  EvalOutcome RunTask(const EvalTask& task, EvalMemo* memo = nullptr) const;
+  /// Solves the state's task against its memo.  Touches only `state`,
+  /// so parallel flush workers can run disjoint states concurrently.
+  EvalOutcome RunTask(ComponentState* state) const;
 
-  // ---- delta-aware evaluation (options_.delta_eval) ------------------
+  // ---- delta-aware evaluation ------------------------------------------
 
   /// The persistent state of `root`'s component, built on first use.
   ComponentState* EnsureComponentState(QueryId root);
@@ -656,11 +630,6 @@ class CoordinationEngine : public CoordinationService {
   /// (SubmitQuery/AdoptPending); requires producer quiescence.
   void ResyncIntakeBase();
 
-  // ---- from-scratch reference path (options_.incremental == false) ----
-  bool LegacyEvaluateComponentOf(QueryId root);
-  std::vector<QueryId> LegacyComponentOf(QueryId root) const;
-  size_t LegacyFlush();
-
   const Database* db_;
   EngineOptions options_;
   QuerySet all_;
@@ -692,7 +661,6 @@ class CoordinationEngine : public CoordinationService {
   std::unique_ptr<ThreadPool> pool_;     // lazily created by FlushPool()
 
   // ---- delta-aware evaluation state ----
-  bool delta_armed_ = false;             // incremental && delta_eval
   uint64_t last_db_version_ = 0;         // db_->version() at last flush
   std::unordered_map<QueryId, std::unique_ptr<ComponentState>> comp_states_;
   std::vector<std::unique_ptr<ComponentState>> doomed_states_;
@@ -700,7 +668,6 @@ class CoordinationEngine : public CoordinationService {
   // ---- flush scratch (coordinating thread; reset per flush) ----
   std::deque<PendingEval> eval_slots_;   // stable refs; reused per flush
   size_t eval_slots_used_ = 0;
-  EvalTask arrival_task_;                // per-arrival evaluation slot
   mutable Arena flush_arena_;            // heap/wave/member scratch
 
   // ---- deferred admission ----

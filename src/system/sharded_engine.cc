@@ -1,7 +1,6 @@
 #include "system/sharded_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -214,7 +213,6 @@ void ShardedCoordinationEngine::AdoptIntoShard(size_t slot, QueryId gid) {
 
 size_t ShardedCoordinationEngine::MergeShards(
     const std::vector<size_t>& slots) {
-  if (options_.rebuild_merges) return MergeShardsRebuild(slots);
   // Small-into-large: the slot with the most pending queries survives
   // with its engine, translation tables, and memoized component state
   // untouched; every other slot is drained and bulk-adopted into it —
@@ -246,57 +244,6 @@ size_t ShardedCoordinationEngine::MergeShards(
       std::max(sharded_stats_.merge_migrated_max, moved);
   flush_candidates_.insert(survivor);
   return survivor;
-}
-
-size_t ShardedCoordinationEngine::MergeShardsRebuild(
-    const std::vector<size_t>& slots) {
-  // Historical baseline: drain every participating shard and replay the
-  // union into one fresh engine in ascending global id order.  Extracts
-  // are taken (and adopted) per source in that order, so each source
-  // still lands with a single bulk AdoptPending; the O(union) work and
-  // the loss of every side's memoized state are the point — this is
-  // what the small-into-large path is measured against.
-  ++sharded_stats_.merge_events;
-  struct Source {
-    size_t slot;
-    QueryId min_gid;
-    CoordinationEngine::PendingExtract extract;
-  };
-  std::vector<Source> sources;
-  sources.reserve(slots.size());
-  uint64_t moved = 0;
-  for (size_t s : slots) {
-    ENTANGLED_CHECK(shards_[s].deliveries.empty());
-    Source src{s, std::numeric_limits<QueryId>::max(),
-               shards_[s].engine->ExtractPending()};
-    for (QueryId gid : src.extract.keys) {
-      src.min_gid = std::min(src.min_gid, gid);
-    }
-    moved += src.extract.original.size();
-    sources.push_back(std::move(src));
-  }
-  // Keys are global ids and each source extract is already ascending in
-  // them (inner adoption order tracks submission order per shard), so
-  // ordering sources by smallest key replays the union nearly sorted;
-  // exact global order is restored by the schedule keys regardless.
-  std::sort(sources.begin(), sources.end(),
-            [](const Source& a, const Source& b) {
-              return a.min_gid < b.min_gid;
-            });
-
-  const size_t merged_slot = CreateShard();
-  for (const Source& src : sources) {
-    AdoptExtractIntoShard(merged_slot, src.slot, src.extract);
-  }
-  for (const Source& src : sources) {
-    RetireShard(src.slot, /*absorbed=*/true);
-    flush_candidates_.erase(src.slot);
-  }
-  sharded_stats_.queries_migrated += moved;
-  sharded_stats_.merge_migrated_max =
-      std::max(sharded_stats_.merge_migrated_max, moved);
-  flush_candidates_.insert(merged_slot);
-  return merged_slot;
 }
 
 uint64_t ShardedCoordinationEngine::AdoptExtractIntoShard(
@@ -538,7 +485,6 @@ size_t ShardedCoordinationEngine::Flush() {
 
 void ShardedCoordinationEngine::MaybeGcShards(
     const std::vector<size_t>& slots) {
-  if (!options_.gc_empty_shards) return;
   for (size_t s : slots) {
     Shard& shard = shards_[s];
     if (shard.engine == nullptr || shard.engine->num_pending() != 0) {

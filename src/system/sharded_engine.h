@@ -28,21 +28,6 @@ struct ShardedEngineOptions {
   /// depend on this count — deliveries are applied in deterministic
   /// merged order.
   size_t shard_threads = 1;
-
-  /// Retire a shard (and dissolve its relation group back into
-  /// singleton groups) as soon as its last pending query is delivered
-  /// or cancelled, so relations re-bridge along the footprints future
-  /// traffic actually exhibits instead of accreting forever.
-  bool gc_empty_shards = true;
-
-  /// Merge policy fallback: rebuild the union of merging shards into a
-  /// fresh engine (the historical behaviour) instead of migrating the
-  /// smaller sides into the largest survivor.  Outputs are
-  /// byte-identical either way — schedule keys make the solver
-  /// order-independent of shard-local ids — but the rebuild does
-  /// O(union) work and dooms the survivor's memoized component state,
-  /// so this exists only as the differential/bench baseline.
-  bool rebuild_merges = false;
 };
 
 /// \brief Counters specific to the sharded service.
@@ -203,13 +188,8 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// engine, tables, and memoized component state intact, and every
   /// other slot's extract is adopted into it with one bulk AdoptPending
   /// call per source — O(sum of smaller sides) total.  Returns the
-  /// surviving slot.  With options_.rebuild_merges the historical
-  /// rebuild-into-a-fresh-engine shape runs instead (still bulk-adopted
-  /// per source).
+  /// surviving slot.
   size_t MergeShards(const std::vector<size_t>& slots);
-
-  /// The rebuild_merges fallback body.
-  size_t MergeShardsRebuild(const std::vector<size_t>& slots);
 
   /// Adopts one source extract into `into_slot`'s engine (single bulk
   /// AdoptPending) and rewires the id/variable translations and
@@ -237,8 +217,9 @@ class ShardedCoordinationEngine : public CoordinationService {
   size_t DrainDeliveries(const std::vector<size_t>& slots);
 
   /// Retires any of the named slots that drained to zero pending
-  /// queries, dissolving their relation groups (no-op unless
-  /// options_.gc_empty_shards).
+  /// queries and dissolves their relation groups back into singletons,
+  /// so relations re-bridge along the footprints future traffic
+  /// actually exhibits instead of accreting forever.
   void MaybeGcShards(const std::vector<size_t>& slots);
 
   const Database* db_;

@@ -18,6 +18,7 @@
 #include "core/validator.h"
 #include "storage/durable_service.h"
 #include "storage/snapshot.h"
+#include "testing/reference_coordinator.h"
 
 namespace entangled {
 namespace {
@@ -41,81 +42,93 @@ std::string LogToString(const std::vector<StressDelivery>& log) {
   return out.str();
 }
 
-/// One engine configuration a scenario is replayed on: the from-scratch
+/// One configuration a scenario is replayed on: the from-scratch
 /// oracle, an incremental CoordinationEngine, or the sharded front
 /// door.
 struct EngineVariant {
+  bool reference = false;
   bool sharded = false;
   EngineOptions engine;
-  size_t shard_threads = 1;      ///< sharded only
-  bool rebuild_merges = false;   ///< sharded only: rebuild-merge baseline
+  size_t shard_threads = 1;  ///< sharded only
 };
 
 EngineVariant OracleVariant() {
   EngineVariant variant;
-  variant.engine.incremental = false;
-  variant.engine.evaluate_every = 1;
+  variant.reference = true;
   return variant;
 }
 
 EngineVariant IncrementalVariant(size_t threads,
                                  const EngineFaultInjection& fault,
-                                 size_t intake_capacity = 0,
-                                 size_t flush_chunk = 0,
-                                 bool delta_eval = true) {
+                                 size_t intake_capacity = 0) {
   EngineVariant variant;
-  variant.engine.incremental = true;
   variant.engine.evaluate_every = 1;
   variant.engine.flush_threads = threads;
   variant.engine.intake_capacity = intake_capacity;
-  if (flush_chunk > 0) variant.engine.flush_chunk = flush_chunk;
-  variant.engine.delta_eval = delta_eval;
   variant.engine.fault = fault;
   return variant;
 }
 
 EngineVariant ShardedVariant(size_t shard_threads,
-                             const EngineFaultInjection& fault,
-                             bool delta_eval = true,
-                             bool rebuild_merges = false) {
+                             const EngineFaultInjection& fault) {
   EngineVariant variant;
   variant.sharded = true;
-  variant.engine.incremental = true;
   variant.engine.evaluate_every = 1;
-  variant.engine.delta_eval = delta_eval;
   variant.engine.fault = fault;
   variant.shard_threads = shard_threads;
-  variant.rebuild_merges = rebuild_merges;
   return variant;
+}
+
+/// The pending set partitioned by ComponentOf, called once per
+/// component (on its smallest member).
+std::vector<std::vector<QueryId>> PartitionByComponentOf(
+    const CoordinationService& service) {
+  std::vector<std::vector<QueryId>> components;
+  std::unordered_set<QueryId> covered;
+  for (QueryId q : service.PendingQueries()) {
+    if (covered.count(q) > 0) continue;
+    components.push_back(service.ComponentOf(q));
+    covered.insert(components.back().begin(), components.back().end());
+  }
+  return components;
 }
 
 /// A constructed engine plus access to its master query set — the
 /// harness validates deliveries against Definition 1, which needs the
 /// original query structure the public event surface (deliberately)
-/// no longer exposes.
+/// no longer exposes — and to its pending component partition.
 struct EngineInstance {
   std::unique_ptr<CoordinationService> service;
   std::function<const QuerySet&()> master;
+  std::function<std::vector<std::vector<QueryId>>()> components;
 };
 
-EngineInstance MakeEngine(const Database& db, const EngineVariant& variant) {
+template <typename Service>
+EngineInstance Wrap(std::unique_ptr<Service> service) {
   EngineInstance instance;
+  Service* raw = service.get();
+  instance.service = std::move(service);
+  instance.master = [raw]() -> const QuerySet& { return raw->queries(); };
+  instance.components = [raw] { return PartitionByComponentOf(*raw); };
+  return instance;
+}
+
+EngineInstance MakeEngine(const Database& db, const EngineVariant& variant) {
+  if (variant.reference) {
+    auto reference = std::make_unique<ReferenceCoordinator>(&db);
+    ReferenceCoordinator* raw = reference.get();
+    EngineInstance instance = Wrap(std::move(reference));
+    // One graph rebuild for the whole partition, not one per component.
+    instance.components = [raw] { return raw->Components(); };
+    return instance;
+  }
   if (variant.sharded) {
     ShardedEngineOptions options;
     options.engine = variant.engine;
     options.shard_threads = variant.shard_threads;
-    options.rebuild_merges = variant.rebuild_merges;
-    auto engine = std::make_unique<ShardedCoordinationEngine>(&db, options);
-    auto* raw = engine.get();
-    instance.service = std::move(engine);
-    instance.master = [raw]() -> const QuerySet& { return raw->queries(); };
-    return instance;
+    return Wrap(std::make_unique<ShardedCoordinationEngine>(&db, options));
   }
-  auto engine = std::make_unique<CoordinationEngine>(&db, variant.engine);
-  auto* raw = engine.get();
-  instance.service = std::move(engine);
-  instance.master = [raw]() -> const QuerySet& { return raw->queries(); };
-  return instance;
+  return Wrap(std::make_unique<CoordinationEngine>(&db, variant.engine));
 }
 
 /// Replays the event stream on one engine, validating every delivery
@@ -143,6 +156,7 @@ StressReplay Replay(const Database& db, const EngineVariant& variant,
   if (!replay_error.empty() && run.error.empty()) run.error = replay_error;
   run.final_pending = engine.service->PendingQueries();
   run.pending_count = engine.service->num_pending();
+  run.components = engine.components();
   run.stats = engine.service->StatsSnapshot();
   return run;
 }
@@ -473,6 +487,29 @@ std::string CompareRuns(const std::string& a_label, const StressReplay& a,
   return "";
 }
 
+/// The component partition must match the oracle's: a union-find or
+/// repartition bug shows here before it changes any delivery.  Call
+/// after CompareRuns, which already equated the pending sets.
+std::string ComparePartitions(const StressReplay& oracle,
+                              const std::string& label,
+                              const StressReplay& run) {
+  const size_t n = std::min(oracle.components.size(), run.components.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (oracle.components[i] != run.components[i]) {
+      return label + ": ComponentOf(" +
+             std::to_string(oracle.components[i].front()) + ") diverged: " +
+             "oracle " + IdsToString(oracle.components[i]) + ", " + label +
+             " " + IdsToString(run.components[i]);
+    }
+  }
+  if (oracle.components.size() != run.components.size()) {
+    return label + ": " + std::to_string(run.components.size()) +
+           " pending components, oracle " +
+           std::to_string(oracle.components.size());
+  }
+  return "";
+}
+
 /// Order-insensitive canonical form of a delivery log, with ids mapped
 /// through `translate` (empty = identity).
 std::vector<std::vector<QueryId>> CanonicalSets(
@@ -717,34 +754,26 @@ std::string StressHarness::CheckOnce(const Database& db,
   std::string err = CheckInvariants("oracle", oracle);
   if (!err.empty()) return err;
   // Incremental variants: every flush-thread count crossed with every
-  // intake capacity, and (for multi-threaded flushes only) every chunk
-  // size.  All of them promise the oracle's byte-identical output.
+  // intake capacity.  All of them promise the oracle's byte-identical
+  // output and component partition.
   const std::vector<size_t> kInlineOnly = {0};
   const std::vector<size_t>& capacities =
       options_.intake_capacities.empty() ? kInlineOnly
                                          : options_.intake_capacities;
   for (size_t threads : options_.flush_thread_counts) {
-    const std::vector<size_t> kDefaultChunk = {0};
-    const std::vector<size_t>& chunks =
-        (threads > 1 && !options_.flush_chunks.empty()) ? options_.flush_chunks
-                                                        : kDefaultChunk;
     for (size_t capacity : capacities) {
-      for (size_t chunk : chunks) {
-        std::string label =
-            "incremental[flush_threads=" + std::to_string(threads) +
-            ",intake=" + std::to_string(capacity);
-        if (chunk > 0) label += ",chunk=" + std::to_string(chunk);
-        label += "]";
-        StressReplay run = Replay(
-            db, IncrementalVariant(threads, options_.fault, capacity, chunk),
-            events);
-        err = CheckInvariants(label, run);
-        if (!err.empty()) return err;
-        err = CompareRuns("oracle", oracle, label, run);
-        if (!err.empty()) return err;
-        if (threads == 1 && capacity == 0 && single_thread != nullptr) {
-          *single_thread = std::move(run);
-        }
+      const std::string label =
+          "incremental[flush_threads=" + std::to_string(threads) +
+          ",intake=" + std::to_string(capacity) + "]";
+      StressReplay run =
+          Replay(db, IncrementalVariant(threads, options_.fault, capacity),
+                 events);
+      err = CheckInvariants(label, run);
+      if (err.empty()) err = CompareRuns("oracle", oracle, label, run);
+      if (err.empty()) err = ComparePartitions(oracle, label, run);
+      if (!err.empty()) return err;
+      if (threads == 1 && capacity == 0 && single_thread != nullptr) {
+        *single_thread = std::move(run);
       }
     }
   }
@@ -756,8 +785,8 @@ std::string StressHarness::CheckOnce(const Database& db,
     StressReplay run =
         Replay(db, ShardedVariant(threads, options_.fault), events);
     err = CheckInvariants(label, run);
-    if (!err.empty()) return err;
-    err = CompareRuns("oracle", oracle, label, run);
+    if (err.empty()) err = CompareRuns("oracle", oracle, label, run);
+    if (err.empty()) err = ComparePartitions(oracle, label, run);
     if (!err.empty()) return err;
   }
   // Kill-and-rehydrate: wrap one inline incremental, one
@@ -793,56 +822,6 @@ std::string StressHarness::CheckOnce(const Database& db,
       }
       err = CompareRuns("oracle", oracle,
                         label + "@" + std::to_string(crash_index), run);
-      if (!err.empty()) return err;
-    }
-  }
-  // Rebuild-merge baseline: the small-into-large migration policy and
-  // the historical rebuild-everything policy must be byte-identical
-  // (the schedule keys make merge mechanics unobservable).  One width
-  // suffices — merge policy is orthogonal to the flush pool.
-  if (options_.cross_rebuild_merges &&
-      !options_.shard_thread_counts.empty()) {
-    const size_t threads = options_.shard_thread_counts.front();
-    const std::string label = "sharded[shard_threads=" +
-                              std::to_string(threads) + ",rebuild_merges]";
-    StressReplay run =
-        Replay(db,
-               ShardedVariant(threads, options_.fault, /*delta_eval=*/true,
-                              /*rebuild_merges=*/true),
-               events);
-    err = CheckInvariants(label, run);
-    if (!err.empty()) return err;
-    err = CompareRuns("oracle", oracle, label, run);
-    if (!err.empty()) return err;
-  }
-  // Delta-aware evaluation off: the memoization/skip machinery must be
-  // a pure optimization — disabling it cannot change any outcome.  One
-  // incremental variant per flush-thread count plus one sharded width.
-  if (options_.cross_delta_eval) {
-    for (size_t threads : options_.flush_thread_counts) {
-      const std::string label =
-          "incremental[flush_threads=" + std::to_string(threads) +
-          ",delta_eval=off]";
-      StressReplay run = Replay(
-          db,
-          IncrementalVariant(threads, options_.fault, /*intake_capacity=*/0,
-                             /*flush_chunk=*/0, /*delta_eval=*/false),
-          events);
-      err = CheckInvariants(label, run);
-      if (!err.empty()) return err;
-      err = CompareRuns("oracle", oracle, label, run);
-      if (!err.empty()) return err;
-    }
-    if (!options_.shard_thread_counts.empty()) {
-      const size_t threads = options_.shard_thread_counts.back();
-      const std::string label = "sharded[shard_threads=" +
-                                std::to_string(threads) + ",delta_eval=off]";
-      StressReplay run = Replay(
-          db, ShardedVariant(threads, options_.fault, /*delta_eval=*/false),
-          events);
-      err = CheckInvariants(label, run);
-      if (!err.empty()) return err;
-      err = CompareRuns("oracle", oracle, label, run);
       if (!err.empty()) return err;
     }
   }

@@ -14,8 +14,9 @@ namespace entangled {
 /// \brief Options for StressHarness.
 struct StressOptions {
   /// Incremental engine variants differentially compared against the
-  /// from-scratch oracle (`EngineOptions::incremental = false`) on
-  /// every scenario.  Each entry is a Flush() thread count.
+  /// from-scratch oracle (ReferenceCoordinator,
+  /// testing/reference_coordinator.h) on every scenario.  Each entry is
+  /// a Flush() thread count.
   std::vector<size_t> flush_thread_counts = {1, 4};
 
   /// Intake-queue capacities crossed with every flush-thread count
@@ -24,12 +25,6 @@ struct StressOptions {
   /// exercises the deferred-id prediction and drain replay against the
   /// same byte-identical contract.
   std::vector<size_t> intake_capacities = {0, 64};
-
-  /// Flush chunk sizes crossed with the *multi-threaded* incremental
-  /// variants (chunking never runs at flush_threads=1).  Chunk size is
-  /// a pure scheduling knob; every value must produce the oracle's
-  /// exact delivery log.
-  std::vector<size_t> flush_chunks = {1, 8};
 
   /// ShardedCoordinationEngine variants additionally compared against
   /// the same oracle on every scenario (the sharded front door promises
@@ -77,22 +72,6 @@ struct StressOptions {
   /// a deliberately-broken engine; see EngineFaultInjection.
   EngineFaultInjection fault;
 
-  /// Additionally replay one sharded variant with the rebuild-merge
-  /// baseline (`ShardedEngineOptions::rebuild_merges = true`) and hold
-  /// it to the same byte-identical contract: merge mechanics — migrate
-  /// the smaller sides into the survivor vs rebuild the union — must be
-  /// unobservable in every output.
-  bool cross_rebuild_merges = true;
-
-  /// Additionally replay every scenario with delta-aware evaluation
-  /// disabled (`EngineOptions::delta_eval = false`) — one incremental
-  /// variant per flush-thread count plus one sharded variant — and hold
-  /// those replays to the same byte-identical contract.  The default-on
-  /// variants above exercise delta evaluation; this crossing proves the
-  /// memo/skip machinery never *changes* an outcome relative to the
-  /// plain incremental path.
-  bool cross_delta_eval = true;
-
   /// Arm the kill-and-rehydrate differential (0 disables).  Selected
   /// variants — one inline incremental, one deferred-intake
   /// incremental, one sharded — are wrapped in a
@@ -102,7 +81,7 @@ struct StressOptions {
   /// then rehydrated from disk and runs the remainder.  The
   /// concatenation of the pre-crash and post-recovery delivery streams
   /// must be byte-identical — ids, witnesses, resumed sequences, final
-  /// pending set — to the uninterrupted from-scratch oracle.
+  /// pending set — to the uninterrupted oracle.
   size_t crash_at_event = 0;
 };
 
@@ -117,6 +96,10 @@ struct StressReplay {
   std::vector<StressDelivery> log;
   std::vector<QueryId> final_pending;
   size_t pending_count = 0;  ///< the engine's O(1) num_pending()
+  /// The final pending set partitioned into weakly connected
+  /// components (ComponentOf once per component): members ascending,
+  /// components ascending by smallest member.
+  std::vector<std::vector<QueryId>> components;
   EngineStats stats;
   std::string error;  ///< witness/parse failure inside the replay
 };
@@ -143,12 +126,13 @@ struct StressReport {
   size_t quota_bounces = 0;  ///< typed quota rejections in the armed run
 };
 
-/// \brief Replays generated workloads against the incremental engine
-/// (per flush-thread-count variant) and the from-scratch oracle at
-/// once, asserting identical coordinating sets in identical order with
-/// identical witnesses, Definition-1 validity of every delivery, and
-/// EngineStats invariants (e.g. coordinated_queries <= submitted -
-/// cancelled).  Scenarios that pass are additionally re-run through
+/// \brief Replays generated workloads against the incremental and
+/// sharded engines (per thread-count variant) and the from-scratch
+/// oracle (ReferenceCoordinator) at once, asserting identical
+/// coordinating sets in identical order with identical witnesses,
+/// identical final component partitions, Definition-1 validity of every
+/// delivery, and EngineStats invariants (e.g. coordinated_queries <=
+/// submitted - cancelled).  Scenarios that pass are additionally re-run through
 /// metamorphic transformations; scenarios that fail are shrunk to a
 /// minimal failing event prefix rendered for reproduction.
 class StressHarness {

@@ -69,7 +69,6 @@ void RecordScenario(const std::string& dir) {
   Database db;
   FillFacts(&db);
   EngineOptions engine_options;
-  engine_options.incremental = true;
   engine_options.evaluate_every = 1;
   CoordinationEngine inner(&db, engine_options);
   DurabilityOptions durability;
@@ -126,7 +125,6 @@ void Rehydrate(const std::string& dir, Recovered* out) {
   }
   ASSERT_TRUE(BuildDatabaseFromSnapshot(state->snapshot, &out->db).ok());
   EngineOptions engine_options;
-  engine_options.incremental = true;
   engine_options.evaluate_every = 1;
   out->inner = std::make_unique<CoordinationEngine>(&out->db, engine_options);
   DurabilityOptions durability;

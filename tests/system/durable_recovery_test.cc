@@ -65,13 +65,11 @@ std::unique_ptr<CoordinationService> MakeInner(const Database* db,
                                                bool sharded) {
   if (sharded) {
     ShardedEngineOptions options;
-    options.engine.incremental = true;
     options.engine.evaluate_every = 1;
     options.shard_threads = 2;
     return std::make_unique<ShardedCoordinationEngine>(db, options);
   }
   EngineOptions options;
-  options.incremental = true;
   options.evaluate_every = 1;
   return std::make_unique<CoordinationEngine>(db, options);
 }

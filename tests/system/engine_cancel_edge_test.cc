@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "system/engine.h"
+#include "testing/reference_coordinator.h"
 #include "workload/social_data.h"
 
 namespace entangled {
@@ -109,19 +110,24 @@ TEST_F(EngineCancelEdgeTest, SurvivorOfCancelledPartnerStaysEvaluable) {
   EXPECT_EQ(engine.stats().evaluations, 2u);
 }
 
-TEST_F(EngineCancelEdgeTest, LegacyPathMatchesOnCancelEdgeCases) {
-  for (bool incremental : {true, false}) {
-    EngineOptions options;
-    options.incremental = incremental;
-    options.evaluate_every = 0;
-    CoordinationEngine engine(&db_, options);
-    EXPECT_FALSE(engine.Cancel(3));
-    auto a = engine.Submit("a: { R(B, x) } R(A, x) :- Users(x, 'user1').");
+TEST_F(EngineCancelEdgeTest, ReferenceMatchesOnCancelEdgeCases) {
+  EngineOptions options;
+  options.evaluate_every = 0;
+  CoordinationEngine engine(&db_, options);
+  ReferenceCoordinator reference(&db_);
+  reference.set_evaluate_every(0);
+  for (CoordinationService* service :
+       {static_cast<CoordinationService*>(&engine),
+        static_cast<CoordinationService*>(&reference)}) {
+    const bool is_engine = service == &engine;
+    EXPECT_FALSE(service->Cancel(3));
+    auto a = service->Submit("a: { R(B, x) } R(A, x) :- Users(x, 'user1').");
     ASSERT_TRUE(a.ok());
-    EXPECT_TRUE(engine.Cancel(*a));
-    EXPECT_FALSE(engine.Cancel(*a));
-    EXPECT_EQ(engine.Flush(), 0u);
-    EXPECT_EQ(engine.stats().cancelled, 1u) << "incremental=" << incremental;
+    EXPECT_TRUE(service->Cancel(*a));
+    EXPECT_FALSE(service->Cancel(*a));
+    EXPECT_EQ(service->Flush(), 0u);
+    EXPECT_EQ(service->StatsSnapshot().cancelled, 1u)
+        << "engine=" << is_engine;
   }
 }
 

@@ -1,10 +1,11 @@
-// Directed coverage for delta-aware evaluation
-// (EngineOptions::delta_eval): the cache-invalidation edges.  Each test
-// drives a stream where a stale cache would change the output — a
-// cancelled memoized member, a relation mutated between flushes, a
+// Directed coverage for delta-aware evaluation (per-component EvalMemo
+// sweep caches and skip fingerprints): the cache-invalidation edges.
+// Each test drives a stream where a stale cache would change the output
+// — a cancelled memoized member, a relation mutated between flushes, a
 // memoized component migrated between engines, a shard merge — and
-// asserts delta_eval = true still matches the plain path byte for byte
-// while the cache counters show the machinery actually engaged.
+// asserts the engine still matches the from-scratch ReferenceCoordinator
+// byte for byte while the cache counters show the machinery actually
+// engaged.
 
 #include <string>
 #include <vector>
@@ -14,7 +15,7 @@
 #include "db/binding.h"
 #include "system/engine.h"
 #include "system/sharded_engine.h"
-#include "testing/stress_harness.h"
+#include "testing/reference_coordinator.h"
 #include "workload/generator.h"
 #include "workload/social_data.h"
 
@@ -43,11 +44,10 @@ class EngineDeltaTest : public ::testing::Test {
     ASSERT_TRUE(InstallSocialTable(&db_, "Users", 16).ok());
   }
 
-  static EngineOptions Delta(bool on) {
+  /// Evaluation only at explicit Flush() calls.
+  static EngineOptions FlushOnly() {
     EngineOptions options;
-    options.incremental = true;
     options.evaluate_every = 0;
-    options.delta_eval = on;
     return options;
   }
 
@@ -58,25 +58,32 @@ TEST_F(EngineDeltaTest, CancelOfMemoizedMemberInvalidates) {
   // An unsafe triple fails its first flush (the verdict is memoized);
   // cancelling one clashing head must drop the memo so the next flush
   // evaluates the repartitioned pair and delivers it.
-  for (bool delta : {false, true}) {
-    CoordinationEngine engine(&db_, Delta(delta));
-    std::vector<LoggedDelivery> log;
-    LogDeliveries(&engine, &log);
+  auto drive = [](CoordinationService* engine,
+                  std::vector<LoggedDelivery>* log) {
+    LogDeliveries(engine, log);
+    engine->set_evaluate_every(0);
     ASSERT_TRUE(
-        engine.Submit("a: { U(B, x) } U(A, x) :- Users(x, 'user1').").ok());
+        engine->Submit("a: { U(B, x) } U(A, x) :- Users(x, 'user1').").ok());
     ASSERT_TRUE(
-        engine.Submit("b1: { U(A, y) } U(B, y) :- Users(y, 'user1').").ok());
+        engine->Submit("b1: { U(A, y) } U(B, y) :- Users(y, 'user1').").ok());
     ASSERT_TRUE(
-        engine.Submit("b2: { U(A, z) } U(B, z) :- Users(z, 'user1').").ok());
-    EXPECT_EQ(engine.Flush(), 0u);  // unsafe: nothing delivered
-    EXPECT_TRUE(engine.Cancel(2));
-    EXPECT_EQ(engine.Flush(), 1u);
-    ASSERT_EQ(log.size(), 1u) << "delta=" << delta;
-    EXPECT_EQ(log[0].queries, (std::vector<QueryId>{0, 1}));
-    // The memoized failure was discarded with the cancel, never reused.
-    EXPECT_EQ(engine.stats().evaluations_avoided, 0u);
-    EXPECT_EQ(engine.stats().evaluations, 2u);
-  }
+        engine->Submit("b2: { U(A, z) } U(B, z) :- Users(z, 'user1').").ok());
+    EXPECT_EQ(engine->Flush(), 0u);  // unsafe: nothing delivered
+    EXPECT_TRUE(engine->Cancel(2));
+    EXPECT_EQ(engine->Flush(), 1u);
+  };
+  CoordinationEngine engine(&db_, FlushOnly());
+  ReferenceCoordinator reference(&db_);
+  std::vector<LoggedDelivery> log;
+  std::vector<LoggedDelivery> reference_log;
+  drive(&engine, &log);
+  drive(&reference, &reference_log);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].queries, (std::vector<QueryId>{0, 1}));
+  EXPECT_TRUE(log == reference_log);
+  // The memoized failure was discarded with the cancel, never reused.
+  EXPECT_EQ(engine.stats().evaluations_avoided, 0u);
+  EXPECT_EQ(engine.stats().evaluations, 2u);
 }
 
 TEST_F(EngineDeltaTest, RelationMutationBetweenFlushesReevaluates) {
@@ -87,7 +94,7 @@ TEST_F(EngineDeltaTest, RelationMutationBetweenFlushesReevaluates) {
   // must flip the Extra pair to deliverable.
   auto* extra = db_.CreateRelation("Extra", {"v"}).value();
 
-  CoordinationEngine engine(&db_, Delta(true));
+  CoordinationEngine engine(&db_, FlushOnly());
   std::vector<LoggedDelivery> log;
   LogDeliveries(&engine, &log);
   ASSERT_TRUE(
@@ -117,7 +124,7 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
   // A memoized clean failure must not follow the queries through an
   // ExtractPending()/AdoptPending() migration: the adopting engine
   // rebuilds from scratch and delivers once the missing partner lands.
-  CoordinationEngine source(&db_, Delta(true));
+  CoordinationEngine source(&db_, FlushOnly());
   ASSERT_TRUE(
       source.Submit("a: { U(B, x) } U(A, x) :- Users(x, 'user1').").ok());
   EXPECT_EQ(source.Flush(), 0u);  // clean failure memoized in `source`
@@ -126,7 +133,7 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
   CoordinationEngine::PendingExtract extract = source.ExtractPending();
   ASSERT_EQ(extract.original, (std::vector<QueryId>{0}));
 
-  CoordinationEngine target(&db_, Delta(true));
+  CoordinationEngine target(&db_, FlushOnly());
   std::vector<LoggedDelivery> log;
   LogDeliveries(&target, &log);
   target.AdoptPending(extract.queries, {0}, nullptr);
@@ -141,7 +148,7 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
 TEST_F(EngineDeltaTest, ShardMergeByMigrationMatchesSingleEngine) {
   // Two stuck pairs memoize failures in separate shards; a bridge
   // forces a merge-by-migration; a late partner then completes one
-  // pair.  The sharded delta engine must match a plain single engine
+  // pair.  The sharded engine must match the from-scratch reference
   // byte for byte across the whole stream.
   auto drive = [&](CoordinationService* engine,
                    std::vector<LoggedDelivery>* log) {
@@ -164,7 +171,7 @@ TEST_F(EngineDeltaTest, ShardMergeByMigrationMatchesSingleEngine) {
     engine->Flush();  // {sa, sb} completes
   };
 
-  CoordinationEngine single(&db_, Delta(false));
+  ReferenceCoordinator single(&db_);
   std::vector<LoggedDelivery> single_log;
   drive(&single, &single_log);
   ASSERT_EQ(single_log.size(), 1u);
@@ -172,7 +179,7 @@ TEST_F(EngineDeltaTest, ShardMergeByMigrationMatchesSingleEngine) {
 
   for (size_t shard_threads : {size_t{1}, size_t{4}}) {
     ShardedEngineOptions options;
-    options.engine = Delta(true);
+    options.engine = FlushOnly();
     options.shard_threads = shard_threads;
     ShardedCoordinationEngine sharded(&db_, options);
     std::vector<LoggedDelivery> sharded_log;
@@ -200,11 +207,7 @@ TEST(EngineDeltaRenameTest, RenamedSymbolsHitIdenticalCacheDecisions) {
     ASSERT_TRUE(InstallSocialTable(&db, p + "Users", 16).ok());
     auto* aux = db.CreateRelation(p + "Aux", {"v"}).value();
 
-    EngineOptions options;
-    options.incremental = true;
-    options.evaluate_every = 1;
-    options.delta_eval = true;
-    CoordinationEngine engine(&db, options);
+    CoordinationEngine engine(&db);
     // A cycle whose combined body never grounds ('nouser' is absent):
     // the component fails cleanly and its sweep verdicts are memoized.
     ASSERT_TRUE(engine

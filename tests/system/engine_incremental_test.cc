@@ -3,8 +3,8 @@
 // engine (persistent graph index + union-find components + dirty-set
 // scheduling) must deliver byte-identical output — the same
 // coordinating sets, in the same retirement order, with the same
-// witnessing assignments — as the from-scratch reference path that
-// rebuilds the coordination graph for every evaluation.  A second
+// witnessing assignments — as the from-scratch ReferenceCoordinator
+// that rebuilds the coordination graph for every evaluation.  A second
 // differential axis checks that the parallel Flush() is
 // thread-count-invariant.
 
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "core/validator.h"
 #include "system/engine.h"
+#include "testing/reference_coordinator.h"
 #include "workload/social_data.h"
 
 namespace entangled {
@@ -135,15 +136,18 @@ struct RunResult {
   uint64_t cancelled = 0;
 };
 
-RunResult RunInterleaving(const Database& db, EngineOptions options,
+/// Replays `ops` on `engine`: a CoordinationEngine or the
+/// ReferenceCoordinator (both expose the master query set deliveries
+/// are validated against).
+template <typename Engine>
+RunResult RunInterleaving(const Database& db, Engine* engine,
                           const std::vector<std::string>& texts,
                           const std::vector<Op>& ops) {
-  CoordinationEngine engine(&db, options);
   RunResult run;
-  engine.set_delivery_callback([&](const Delivery& delivery) {
+  engine->set_delivery_callback([&](const Delivery& delivery) {
     // Every delivery must also be independently valid (Def. 1).
     CoordinationSolution solution = SolutionFromDelivery(delivery);
-    EXPECT_TRUE(ValidateSolution(db, engine.queries(), solution).ok());
+    EXPECT_TRUE(ValidateSolution(db, engine->queries(), solution).ok());
     run.log.push_back(LoggedDelivery{std::move(solution.queries),
                                      std::move(solution.assignment)});
   });
@@ -151,24 +155,24 @@ RunResult RunInterleaving(const Database& db, EngineOptions options,
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::kSubmit: {
-        auto id = engine.Submit(texts[next_text++]);
+        auto id = engine->Submit(texts[next_text++]);
         EXPECT_TRUE(id.ok()) << id.status();
         break;
       }
       case Op::kCancel: {
-        std::vector<QueryId> pending = engine.PendingQueries();
+        std::vector<QueryId> pending = engine->PendingQueries();
         if (pending.empty()) break;
-        engine.Cancel(pending[op.rank % pending.size()]);
+        engine->Cancel(pending[op.rank % pending.size()]);
         break;
       }
       case Op::kFlush:
-        engine.Flush();
+        engine->Flush();
         break;
     }
   }
-  run.final_pending = engine.PendingQueries();
-  run.coordinating_sets = engine.stats().coordinating_sets;
-  run.cancelled = engine.stats().cancelled;
+  run.final_pending = engine->PendingQueries();
+  run.coordinating_sets = engine->StatsSnapshot().coordinating_sets;
+  run.cancelled = engine->StatsSnapshot().cancelled;
   return run;
 }
 
@@ -186,14 +190,14 @@ TEST_P(EngineDifferential, IncrementalMatchesFromScratchRebuild) {
   std::vector<Op> ops = MakeOps(seed * 131, texts.size());
 
   for (size_t evaluate_every : {size_t{0}, size_t{1}, size_t{3}}) {
-    EngineOptions incremental;
-    incremental.evaluate_every = evaluate_every;
-    incremental.incremental = true;
-    EngineOptions rebuild = incremental;
-    rebuild.incremental = false;
+    EngineOptions options;
+    options.evaluate_every = evaluate_every;
+    CoordinationEngine incremental(&db_, options);
+    ReferenceCoordinator rebuild(&db_);
+    rebuild.set_evaluate_every(evaluate_every);
 
-    RunResult a = RunInterleaving(db_, incremental, texts, ops);
-    RunResult b = RunInterleaving(db_, rebuild, texts, ops);
+    RunResult a = RunInterleaving(db_, &incremental, texts, ops);
+    RunResult b = RunInterleaving(db_, &rebuild, texts, ops);
 
     EXPECT_EQ(a.log.size(), b.log.size())
         << "evaluate_every=" << evaluate_every;
@@ -219,8 +223,10 @@ TEST_P(EngineDifferential, ParallelFlushIsThreadCountInvariant) {
   EngineOptions pooled = serial;
   pooled.flush_threads = 4;
 
-  RunResult a = RunInterleaving(db_, serial, texts, ops);
-  RunResult b = RunInterleaving(db_, pooled, texts, ops);
+  CoordinationEngine serial_engine(&db_, serial);
+  CoordinationEngine pooled_engine(&db_, pooled);
+  RunResult a = RunInterleaving(db_, &serial_engine, texts, ops);
+  RunResult b = RunInterleaving(db_, &pooled_engine, texts, ops);
   EXPECT_EQ(a.log, b.log) << "1 thread:  " << DeliveryLogToString(a.log)
                           << "\n4 threads: " << DeliveryLogToString(b.log);
   EXPECT_EQ(a.final_pending, b.final_pending);
@@ -351,17 +357,16 @@ TEST_F(EngineIncrementalTest, FlushSkipsCleanComponents) {
   EXPECT_EQ(engine.Flush(), 0u);
   // Untouched component: the second flush re-examined nothing.
   EXPECT_EQ(engine.stats().evaluations, evals_after_first);
-  // The from-scratch path re-evaluates it every time.
-  EngineOptions rebuild = options;
-  rebuild.incremental = false;
-  CoordinationEngine reference(&db_, rebuild);
+  // The from-scratch reference re-evaluates it every time.
+  ReferenceCoordinator reference(&db_);
+  reference.set_evaluate_every(0);
   ASSERT_TRUE(
       reference.Submit("stuck: { Nobody(m) } W(s) :- Users(s, 'user1').")
           .ok());
   reference.Flush();
-  const uint64_t ref_evals = reference.stats().evaluations;
+  const uint64_t ref_evals = reference.StatsSnapshot().evaluations;
   reference.Flush();
-  EXPECT_GT(reference.stats().evaluations, ref_evals);
+  EXPECT_GT(reference.StatsSnapshot().evaluations, ref_evals);
 }
 
 }  // namespace

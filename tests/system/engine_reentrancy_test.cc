@@ -1,7 +1,7 @@
 // Regression coverage for the documented callback-reentrancy contract
 // (src/system/engine.h): delivery callbacks are notifications, not
 // extension points — every mutating entry point must CHECK-fail when
-// invoked from inside a delivery, on both engine paths.
+// invoked from inside a delivery.
 
 #include <string>
 #include <vector>
@@ -74,16 +74,6 @@ TEST_F(EngineReentrancyDeathTest, CancelInsideCallbackDies) {
 
 TEST_F(EngineReentrancyDeathTest, FlushInsideCallbackDies) {
   CoordinationEngine engine(&db_);
-  engine.set_delivery_callback(
-      [&engine](const Delivery&) { engine.Flush(); });
-  EXPECT_DEATH(engine.Submit(Loner()),
-               "Flush called from inside a delivery callback");
-}
-
-TEST_F(EngineReentrancyDeathTest, LegacyPathRejectsReentryToo) {
-  EngineOptions options;
-  options.incremental = false;
-  CoordinationEngine engine(&db_, options);
   engine.set_delivery_callback(
       [&engine](const Delivery&) { engine.Flush(); });
   EXPECT_DEATH(engine.Submit(Loner()),

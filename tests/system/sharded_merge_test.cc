@@ -1,10 +1,9 @@
 // Directed coverage for the small-into-large shard-merge path
 // (system/sharded_engine.h): differential k-way merges over streams
 // whose global ids interleave across shards — held byte-identical to a
-// single CoordinationEngine AND to the rebuild-merge baseline
-// (ShardedEngineOptions::rebuild_merges) — plus memoized component
-// state surviving a merge in the surviving shard (eval_cache_hits),
-// and bridge-then-cancel churn that recycles freed shard slots.
+// single CoordinationEngine — plus memoized component state surviving
+// a merge in the surviving shard (eval_cache_hits), and
+// bridge-then-cancel churn that recycles freed shard slots.
 
 #include <algorithm>
 #include <cstdint>
@@ -75,9 +74,9 @@ class ShardedMergeTest : public ::testing::Test {
 /// relation groups (so every shard's local ids map to *non-contiguous*
 /// global ids), then a k-way bridge merging all three shards at once,
 /// then more interleaved traffic, joins into merged components,
-/// cancels, and coordinating pairs.  The single engine, the
-/// small-into-large sharded engine (both pool widths), and the
-/// rebuild-merge baseline must agree byte for byte.
+/// cancels, and coordinating pairs.  The single engine and the
+/// small-into-large sharded engine (both pool widths) must agree byte
+/// for byte.
 TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
   auto drive = [&](CoordinationService* engine,
                    std::vector<LoggedDelivery>* log) {
@@ -131,104 +130,74 @@ TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
   std::vector<LoggedDelivery> single_log;
   drive(&single, &single_log);
 
-  uint64_t migrated_small_into_large = 0;
-  uint64_t migrated_rebuild = 0;
-  for (bool rebuild : {false, true}) {
-    for (size_t shard_threads : {size_t{1}, size_t{4}}) {
-      ShardedEngineOptions options;
-      options.shard_threads = shard_threads;
-      options.rebuild_merges = rebuild;
-      ShardedCoordinationEngine sharded(&db_, options);
-      std::vector<LoggedDelivery> sharded_log;
-      drive(&sharded, &sharded_log);
+  for (size_t shard_threads : {size_t{1}, size_t{4}}) {
+    ShardedEngineOptions options;
+    options.shard_threads = shard_threads;
+    ShardedCoordinationEngine sharded(&db_, options);
+    std::vector<LoggedDelivery> sharded_log;
+    drive(&sharded, &sharded_log);
 
-      const std::string which = std::string(rebuild ? "rebuild" : "migrate") +
-                                "/threads=" + std::to_string(shard_threads);
-      ASSERT_EQ(single_log.size(), sharded_log.size()) << which;
-      for (size_t i = 0; i < single_log.size(); ++i) {
-        EXPECT_EQ(single_log[i].queries, sharded_log[i].queries)
-            << "delivery " << i << " at " << which;
-        EXPECT_EQ(single_log[i].assignment, sharded_log[i].assignment)
-            << "witness " << i << " at " << which;
-      }
-      EXPECT_EQ(single.PendingQueries(), sharded.PendingQueries()) << which;
-      EXPECT_EQ(single.num_pending(), sharded.num_pending()) << which;
-      // ComponentOf must report sorted global ids even though the
-      // survivor's local order interleaves migrated and native queries.
-      for (QueryId id : sharded.PendingQueries()) {
-        std::vector<QueryId> component = sharded.ComponentOf(id);
-        EXPECT_TRUE(std::is_sorted(component.begin(), component.end()))
-            << which << " ComponentOf(" << id << ")";
-        EXPECT_EQ(component, single.ComponentOf(id)) << which;
-      }
-
-      EXPECT_EQ(sharded.sharded_stats().merge_events, 1u) << which;
-      if (shard_threads == 1) {
-        (rebuild ? migrated_rebuild : migrated_small_into_large) =
-            sharded.sharded_stats().queries_migrated;
-      }
-      if (rebuild) {
-        // The baseline rebuilds the union: every query moves.
-        EXPECT_EQ(sharded.sharded_stats().queries_retained, 0u) << which;
-      } else {
-        // Small-into-large: S's four queries stay put, R's and W's four
-        // (2 + 2, including both bridged tags) migrate.
-        EXPECT_EQ(sharded.sharded_stats().queries_retained, 4u) << which;
-        EXPECT_EQ(sharded.sharded_stats().queries_migrated, 4u) << which;
-        EXPECT_EQ(sharded.sharded_stats().merge_migrated_max, 4u) << which;
-      }
+    const std::string which = "threads=" + std::to_string(shard_threads);
+    ASSERT_EQ(single_log.size(), sharded_log.size()) << which;
+    for (size_t i = 0; i < single_log.size(); ++i) {
+      EXPECT_EQ(single_log[i].queries, sharded_log[i].queries)
+          << "delivery " << i << " at " << which;
+      EXPECT_EQ(single_log[i].assignment, sharded_log[i].assignment)
+          << "witness " << i << " at " << which;
     }
+    EXPECT_EQ(single.PendingQueries(), sharded.PendingQueries()) << which;
+    EXPECT_EQ(single.num_pending(), sharded.num_pending()) << which;
+    // ComponentOf must report sorted global ids even though the
+    // survivor's local order interleaves migrated and native queries.
+    for (QueryId id : sharded.PendingQueries()) {
+      std::vector<QueryId> component = sharded.ComponentOf(id);
+      EXPECT_TRUE(std::is_sorted(component.begin(), component.end()))
+          << which << " ComponentOf(" << id << ")";
+      EXPECT_EQ(component, single.ComponentOf(id)) << which;
+    }
+
+    // Small-into-large: S's four queries stay put, R's and W's four
+    // (2 + 2, including both bridged tags) migrate in one merge.
+    EXPECT_EQ(sharded.sharded_stats().merge_events, 1u) << which;
+    EXPECT_EQ(sharded.sharded_stats().queries_retained, 4u) << which;
+    EXPECT_EQ(sharded.sharded_stats().queries_migrated, 4u) << which;
+    EXPECT_EQ(sharded.sharded_stats().merge_migrated_max, 4u) << which;
   }
-  EXPECT_LT(migrated_small_into_large, migrated_rebuild);
 }
 
 /// Memo retention: the surviving shard's evaluated-component state
 /// (EvalMemo sweep verdicts) must survive a merge, so post-merge
 /// re-evaluation of an extended survivor component serves sweep steps
-/// from the memo.  The rebuild baseline discards everything, so the
-/// same stream records strictly fewer cache hits.
+/// from the memo.
 TEST_F(ShardedMergeTest, SurvivorKeepsMemoizedComponentStateAcrossMerge) {
-  auto run = [&](bool rebuild) -> std::vector<uint64_t> {
-    ShardedEngineOptions options;
-    options.rebuild_merges = rebuild;
-    ShardedCoordinationEngine engine(&db_, options);
-    engine.set_evaluate_every(0);
-    // A heavy S shard with four evaluated sink components (the flush
-    // records each one's failed-grounding verdict in its memo), and a
-    // light R shard.
-    for (const char* tag : {"T0", "T1", "T2", "T3"}) {
-      EXPECT_TRUE(engine.Submit(Sink("S", tag)).ok());
-    }
-    EXPECT_TRUE(engine.Submit(Sink("R", "U0")).ok());
-    engine.Flush();
-    const uint64_t hits_before = engine.StatsSnapshot().eval_cache_hits;
-    // The bridge's footprint merges R's shard into S's (its posts name
-    // tags no head answers, so no coordination edge forms and no
-    // component is disturbed — the merge itself is the only event).
-    // S's components keep their memos; R's U0 re-indexes from scratch
-    // in the survivor (the O(smaller-side) cost).
-    EXPECT_TRUE(engine
-                    .Submit("br: { S(NeverT0, x), R(NeverU0, x) } "
-                            "B(Tb, x) :- Users(x, 'user7').")
-                    .ok());
-    // Extend the survivor component T1 with a post into its head and
-    // re-flush: the sweep of the grown component reaches R(sink)
-    // first, and the survivor serves that step from the memo it
-    // recorded before the merge.
-    EXPECT_TRUE(engine.Submit(Joiner("S", "T1")).ok());
-    engine.Flush();
-    const uint64_t hits_after = engine.StatsSnapshot().eval_cache_hits;
-    return {hits_before, hits_after};
-  };
-
-  const std::vector<uint64_t> migrate = run(/*rebuild=*/false);
-  const std::vector<uint64_t> rebuild = run(/*rebuild=*/true);
-  // Post-merge, the survivor serves sweep steps from memos it held
-  // before the merge.
-  EXPECT_GT(migrate[1], migrate[0]);
-  // The rebuild baseline destroyed those memos, so the identical
-  // stream finds strictly fewer hits.
-  EXPECT_GT(migrate[1] - migrate[0], rebuild[1] - rebuild[0]);
+  ShardedCoordinationEngine engine(&db_);
+  engine.set_evaluate_every(0);
+  // A heavy S shard with four evaluated sink components (the flush
+  // records each one's failed-grounding verdict in its memo), and a
+  // light R shard.
+  for (const char* tag : {"T0", "T1", "T2", "T3"}) {
+    ASSERT_TRUE(engine.Submit(Sink("S", tag)).ok());
+  }
+  ASSERT_TRUE(engine.Submit(Sink("R", "U0")).ok());
+  engine.Flush();
+  const uint64_t hits_before = engine.StatsSnapshot().eval_cache_hits;
+  // The bridge's footprint merges R's shard into S's (its posts name
+  // tags no head answers, so no coordination edge forms and no
+  // component is disturbed — the merge itself is the only event).
+  // S's components keep their memos; R's U0 re-indexes from scratch in
+  // the survivor (the O(smaller-side) cost).
+  ASSERT_TRUE(engine
+                  .Submit("br: { S(NeverT0, x), R(NeverU0, x) } "
+                          "B(Tb, x) :- Users(x, 'user7').")
+                  .ok());
+  ASSERT_EQ(engine.sharded_stats().merge_events, 1u);
+  // Extend the survivor component T1 with a post into its head and
+  // re-flush: the sweep of the grown component reaches R(sink) first,
+  // and the survivor serves that step from the memo it recorded before
+  // the merge.
+  ASSERT_TRUE(engine.Submit(Joiner("S", "T1")).ok());
+  engine.Flush();
+  EXPECT_GT(engine.StatsSnapshot().eval_cache_hits, hits_before);
 }
 
 /// Bridge-then-cancel churn: merges followed by cancels drain shards,

@@ -56,8 +56,8 @@ TEST(StressLong, DeepSweep) {
       static constexpr size_t kPartitions[] = {0, 1, 4, 16};
       options.relation_partitions = kPartitions[seed % 4];
       // Cross in merge churn on a third of the seeds: frequent k-way
-      // bridges drive the small-into-large migration path (and its
-      // rebuild-merge baseline) through deep merge chains.
+      // bridges drive the small-into-large migration path through deep
+      // merge chains.
       static constexpr size_t kStorms[] = {0, 4, 7};
       options.bridge_storm = kStorms[seed % 3];
       StressReport report = harness.RunScenario(options);

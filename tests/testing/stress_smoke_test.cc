@@ -2,10 +2,10 @@
 // a fixed-seed sweep of generated scenarios across all four topologies
 // and several knob profiles, each differentially verified — the
 // incremental engine at flush_threads 1 and 4 *and* the sharded front
-// door at shard-pool threads 1 and 4 against the from-scratch oracle —
-// with witness validation, EngineStats invariants, and metamorphic
-// re-runs.  Kept under ~30 s; the deep sweep lives in
-// stress_long_test.cc.
+// door at shard-pool threads 1 and 4 against the from-scratch
+// ReferenceCoordinator — with witness validation, component-partition
+// equality, EngineStats invariants, and metamorphic re-runs.  Kept
+// under ~30 s; the deep sweep lives in stress_long_test.cc.
 
 #include <cstdio>
 #include <string>
@@ -74,8 +74,7 @@ const Profile kProfiles[] = {
      }},
     // Merge churn: every 3rd query bridges the two most recent earlier
     // groups, so k-way shard merges fire constantly — the hot path of
-    // the small-into-large migration (and its rebuild-merge baseline,
-    // which the harness crosses in on every scenario).
+    // the small-into-large migration.
     {"bridge_storm",
      [](GeneratorOptions* o) {
        o->bridge_storm = 3;
@@ -133,10 +132,9 @@ TEST(StressSmoke, SweepAllTopologies) {
 TEST(StressSmoke, QuotaArmedDifferential) {
   StressOptions stress;
   stress.quota_max_session_pending = 3;
-  // The quota overlay is the subject; skip the crossings that only
-  // re-verify engine internals to keep the tier-1 budget.
+  // The quota overlay is the subject; skip the metamorphic re-runs that
+  // only re-verify engine internals to keep the tier-1 budget.
   stress.run_metamorphic = false;
-  stress.cross_delta_eval = false;
   StressHarness harness(stress);
 
   size_t scenarios = 0;
@@ -177,11 +175,9 @@ TEST(StressSmoke, CrashPointSweep) {
   for (size_t crash_at : {1u, 3u, 7u, 16u, 29u, 53u}) {
     StressOptions stress;
     stress.crash_at_event = crash_at;
-    // The durability overlay is the subject; skip the crossings that
-    // only re-verify engine internals to keep the tier-1 budget.
+    // The durability overlay is the subject; skip the passes that only
+    // re-verify engine internals to keep the tier-1 budget.
     stress.run_metamorphic = false;
-    stress.cross_delta_eval = false;
-    stress.cross_rebuild_merges = false;
     stress.session_count = 0;
     StressHarness harness(stress);
     GeneratorOptions options;
