@@ -70,4 +70,27 @@ Delivery MakeDelivery(const QuerySet& set,
   return delivery;
 }
 
+void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
+                       const std::function<VarId(VarId)>& var_of,
+                       Delivery* delivery) {
+  for (DeliveredQuery& q : delivery->queries) {
+    q.id = query_of(q.id);
+    for (Atom& atom : q.answers) {
+      for (Term& term : atom.terms) {
+        if (term.is_variable()) term = Term::Var(var_of(term.var()));
+      }
+    }
+  }
+  std::sort(delivery->queries.begin(), delivery->queries.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  Binding witness;
+  delivery->witness.ForEach([&](VarId var, const Value& value) {
+    witness.emplace(var_of(var), value);
+  });
+  delivery->witness = std::move(witness);
+  for (auto& [var, name] : delivery->witness_names) var = var_of(var);
+  std::sort(delivery->witness_names.begin(), delivery->witness_names.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
 }  // namespace entangled

@@ -2,6 +2,7 @@
 #define ENTANGLED_API_DELIVERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,6 +77,17 @@ struct Delivery {
 Delivery MakeDelivery(const QuerySet& set,
                       const CoordinationSolution& solution,
                       uint64_t sequence);
+
+/// \brief Rewrites a Delivery from one id/variable namespace into
+/// another — a shard's local space into the front door's global one,
+/// or a recovered engine's into the durable one: every participant id
+/// through `query_of`, and every variable (in answer atoms, the witness
+/// and `witness_names`) through `var_of`.  Neither map has to be
+/// monotone, so participants and `witness_names` are re-sorted to keep
+/// the ascending order a Delivery promises.
+void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
+                       const std::function<VarId(VarId)>& var_of,
+                       Delivery* delivery);
 
 /// \brief MakeDelivery's inverse view: the engine-facing (ids +
 /// witness) form of a delivery — what Definition-1 re-validation

@@ -317,22 +317,24 @@ Result<std::vector<QueryId>> ParseQueries(const std::string& text,
 }
 
 Result<QueryId> ParseQuery(const std::string& text, QuerySet* set) {
-  // Validate against a staging set first: a text holding zero or
-  // several queries — or one that fails mid-parse after an earlier
-  // query succeeded — must not leak partial parses into `set`.
-  {
-    QuerySet staging;
-    auto ids = ParseQueries(text, &staging);
-    if (!ids.ok()) return ids.status();
-    if (ids->size() != 1) {
-      return Status::InvalidArgument("expected exactly one query, found ",
-                                     ids->size());
-    }
+  ENTANGLED_CHECK(set != nullptr);
+  // Parse once into a staging set: a text holding zero or several
+  // queries — or one that fails mid-parse after an earlier query
+  // succeeded — must not leak partial parses into `set`.  Adopting the
+  // validated query reproduces the ids a direct parse would allocate
+  // (QuerySet::AdoptQueries), and an empty target takes the set whole.
+  QuerySet staging;
+  auto ids = ParseQueries(text, &staging);
+  if (!ids.ok()) return ids.status();
+  if (ids->size() != 1) {
+    return Status::InvalidArgument("expected exactly one query, found ",
+                                   ids->size());
   }
-  auto ids = ParseQueries(text, set);
-  ENTANGLED_CHECK(ids.ok() && ids->size() == 1)
-      << "validated text re-parse failed";
-  return (*ids)[0];
+  if (set->empty() && set->num_vars() == 0) {
+    *set = std::move(staging);
+    return 0;
+  }
+  return set->AdoptAll(staging).front();
 }
 
 }  // namespace entangled

@@ -172,39 +172,89 @@ Status DurableCoordinationService::LogRecord(const WalRecord& record) {
   return Status::OK();
 }
 
-void DurableCoordinationService::AdoptAdmitted(int64_t durable_id,
-                                               int64_t session,
+QueryId DurableCoordinationService::AdmitNext(int64_t session,
+                                              const std::string& text,
+                                              size_t var_count) {
+  const int64_t durable_id = next_durable_id_++;
+  live_[durable_id] = LiveQuery{session, next_durable_var_,
+                                static_cast<uint32_t>(var_count), text};
+  next_durable_var_ += static_cast<int64_t>(var_count);
+  return static_cast<QueryId>(durable_id - id_offset_);
+}
+
+void DurableCoordinationService::ForwardSubmit(int64_t session,
                                                const std::string& text,
-                                               QueryId inner_id,
-                                               size_t var_count,
-                                               int64_t var_start) {
-  // Both namespaces allocate sequentially in admission order, so the
-  // maps extend by pure arithmetic — no engine reads, no forced drains.
-  ENTANGLED_CHECK_EQ(static_cast<size_t>(inner_id), inner_to_durable_.size())
+                                               size_t var_count) {
+  // Both namespaces allocate in admission order, so the inner id is
+  // known ahead of time — and checked after.
+  const QueryId expected = AdmitNext(session, text, var_count);
+  auto inner_id = inner_->Submit(text);
+  ENTANGLED_CHECK(inner_id.ok())
+      << "validated submit rejected by the inner service: "
+      << inner_id.status().ToString();
+  ENTANGLED_CHECK_EQ(*inner_id, expected)
       << "inner service id allocation diverged from admission order";
-  inner_to_durable_.push_back(durable_id);
-  if (static_cast<size_t>(durable_id) == durable_to_inner_.size()) {
-    durable_to_inner_.push_back(inner_id);
-    ENTANGLED_CHECK_EQ(durable_id, next_durable_id_);
-    ++next_durable_id_;
-  } else {
-    // Recovery resubmission of a snapshot-pending query: the durable id
-    // already exists below next_durable_id_.
-    ENTANGLED_CHECK_LT(static_cast<size_t>(durable_id),
-                       durable_to_inner_.size());
-    durable_to_inner_[static_cast<size_t>(durable_id)] = inner_id;
+  TickSubmitPhase();
+}
+
+void DurableCoordinationService::ForwardBatch(
+    int64_t session, const std::vector<std::string>& texts,
+    const std::vector<size_t>& var_counts) {
+  std::vector<QueryId> expected;
+  expected.reserve(texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    expected.push_back(AdmitNext(session, texts[i], var_counts[i]));
   }
-  for (size_t i = 0; i < var_count; ++i) {
-    inner_var_to_durable_.push_back(static_cast<VarId>(var_start + i));
+  auto inner_ids = inner_->SubmitBatch(texts);
+  ENTANGLED_CHECK(inner_ids.ok())
+      << "validated batch rejected by the inner service: "
+      << inner_ids.status().ToString();
+  ENTANGLED_CHECK(*inner_ids == expected)
+      << "inner service id allocation diverged from admission order";
+  // A batch admits whole, then flushes once: the inner engine resets
+  // its per-arrival phase (see CoordinationEngine::SubmitBatch).
+  if (evaluate_every_ > 0) cadence_phase_ = 0;
+}
+
+QueryId DurableCoordinationService::DurableId(QueryId inner) const {
+  if (static_cast<size_t>(inner) < recovered_.size()) {
+    return static_cast<QueryId>(
+        recovered_[static_cast<size_t>(inner)].durable_id);
   }
-  next_durable_var_ = std::max(next_durable_var_,
-                               var_start + static_cast<int64_t>(var_count));
-  LiveQuery live;
-  live.session = session;
-  live.var_start = var_start;
-  live.var_count = static_cast<uint32_t>(var_count);
-  live.text = text;
-  live_[durable_id] = std::move(live);
+  return static_cast<QueryId>(inner + id_offset_);
+}
+
+VarId DurableCoordinationService::DurableVar(VarId inner) const {
+  if (inner >= recovered_vars_) {
+    return static_cast<VarId>(inner + var_offset_);
+  }
+  // The prefix query whose variables cover `inner`: the last one whose
+  // block starts at or below it (a query may own no variables).
+  auto it = std::upper_bound(
+      recovered_.begin(), recovered_.end(), static_cast<int64_t>(inner),
+      [](int64_t var, const RecoveredQuery& q) {
+        return var < q.inner_var_start;
+      });
+  --it;
+  return static_cast<VarId>(it->durable_var_start +
+                            (inner - it->inner_var_start));
+}
+
+QueryId DurableCoordinationService::InnerId(int64_t id) const {
+  if (id < 0 || id >= next_durable_id_) return -1;
+  const int64_t inner = id - id_offset_;
+  if (inner >= static_cast<int64_t>(recovered_.size())) {
+    return static_cast<QueryId>(inner);
+  }
+  // Below the offset only the recovered prefix is known here: other ids
+  // were delivered or cancelled before the snapshot.
+  auto it = std::lower_bound(
+      recovered_.begin(), recovered_.end(), id,
+      [](const RecoveredQuery& q, int64_t durable) {
+        return q.durable_id < durable;
+      });
+  if (it == recovered_.end() || it->durable_id != id) return -1;
+  return static_cast<QueryId>(it - recovered_.begin());
 }
 
 void DurableCoordinationService::TickSubmitPhase() {
@@ -225,43 +275,25 @@ void DurableCoordinationService::MaybeAutoSnapshot() {
 // ----- delivery rewrite -----------------------------------------------------
 
 void DurableCoordinationService::OnInnerDelivery(const Delivery& delivery) {
-  const uint64_t sequence = sequence_offset_ + delivery.sequence;
-
-  Delivery out;
-  out.sequence = sequence;
-  out.queries.reserve(delivery.queries.size());
-  for (const DeliveredQuery& q : delivery.queries) {
-    ENTANGLED_CHECK_LT(static_cast<size_t>(q.id), inner_to_durable_.size());
-    const int64_t durable_id = inner_to_durable_[static_cast<size_t>(q.id)];
-    DeliveredQuery translated = q;
-    translated.id = static_cast<QueryId>(durable_id);
-    for (Atom& atom : translated.answers) {
-      for (Term& term : atom.terms) {
-        if (term.is_variable()) {
-          term = Term::Var(
-              inner_var_to_durable_[static_cast<size_t>(term.var())]);
-        }
-      }
-    }
-    out.queries.push_back(std::move(translated));
-    // Retire from the durable view (delivered queries leave the log's
-    // live set; the next snapshot no longer carries them).
-    live_.erase(durable_id);
-    durable_to_inner_[static_cast<size_t>(durable_id)] = -1;
+  // A process that never recovered shares the inner namespaces and
+  // sequence numbering, so the delivery forwards as it is.
+  Delivery translated;
+  const bool identity = recovered_.empty() && id_offset_ == 0 &&
+                        var_offset_ == 0 && sequence_offset_ == 0;
+  if (!identity) {
+    translated = delivery;
+    translated.sequence += sequence_offset_;
+    TranslateDelivery([this](QueryId inner) { return DurableId(inner); },
+                      [this](VarId inner) { return DurableVar(inner); },
+                      &translated);
   }
-  delivery.witness.ForEach([&](VarId var, const Value& value) {
-    out.witness.emplace(inner_var_to_durable_[static_cast<size_t>(var)],
-                        value);
-  });
-  out.witness_names.reserve(delivery.witness_names.size());
-  for (const auto& [var, name] : delivery.witness_names) {
-    out.witness_names.emplace_back(
-        inner_var_to_durable_[static_cast<size_t>(var)], name);
-  }
+  const Delivery& out = identity ? delivery : translated;
+  // Retire from the durable view (delivered queries leave the log's
+  // live set; the next snapshot no longer carries them).
+  for (const DeliveredQuery& q : out.queries) live_.erase(q.id);
+  delivered_next_ = out.sequence + 1;
 
-  delivered_next_ = sequence + 1;
-
-  if (replaying_ && sequence < suppress_below_) {
+  if (replaying_ && out.sequence < suppress_below_) {
     // Re-derived by the replay but already seen by clients pre-crash:
     // not re-forwarded — but the session manager never hears about a
     // suppressed delivery, so its pending bookkeeping is settled here.
@@ -305,23 +337,7 @@ Result<QueryId> DurableCoordinationService::Submit(
   record.text = query_text;
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-
-  // Adopt *before* the inner call: with an immediate cadence the inner
-  // service evaluates inside Submit, and the delivery callback needs
-  // the id/variable maps to already cover the new query.  Both
-  // namespaces allocate sequentially in admission order, so the inner
-  // id is known ahead of time — and checked after.
-  const int64_t var_start = next_durable_var_;
-  const QueryId expected_inner = static_cast<QueryId>(inner_to_durable_.size());
-  AdoptAdmitted(durable_id, record.session, query_text, expected_inner,
-                *var_count, var_start);
-  auto inner_id = inner_->Submit(query_text);
-  ENTANGLED_CHECK(inner_id.ok())
-      << "pre-validated submit rejected by inner service: "
-      << inner_id.status().ToString();
-  ENTANGLED_CHECK_EQ(*inner_id, expected_inner)
-      << "inner service id allocation diverged from admission order";
-  TickSubmitPhase();
+  ForwardSubmit(record.session, query_text, *var_count);
   MaybeAutoSnapshot();
   return static_cast<QueryId>(durable_id);
 }
@@ -349,46 +365,23 @@ Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
   }
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-
-  // Adopt before the inner call (see Submit): the batch's trailing
-  // flush delivers through the callback, which needs the maps whole.
-  const size_t base_inner = inner_to_durable_.size();
+  ForwardBatch(record.session, query_texts, var_counts);
+  MaybeAutoSnapshot();
   std::vector<QueryId> ids;
-  ids.reserve(query_texts.size());
-  for (size_t i = 0; i < query_texts.size(); ++i) {
-    const int64_t durable_id = record.batch[i].first;
-    AdoptAdmitted(durable_id, record.session, query_texts[i],
-                  static_cast<QueryId>(base_inner + i), var_counts[i],
-                  next_durable_var_);
+  ids.reserve(record.batch.size());
+  for (const auto& [durable_id, text] : record.batch) {
     ids.push_back(static_cast<QueryId>(durable_id));
   }
-  auto inner_ids = inner_->SubmitBatch(query_texts);
-  ENTANGLED_CHECK(inner_ids.ok())
-      << "pre-validated batch rejected by inner service: "
-      << inner_ids.status().ToString();
-  ENTANGLED_CHECK_EQ(inner_ids->size(), query_texts.size());
-  for (size_t i = 0; i < query_texts.size(); ++i) {
-    ENTANGLED_CHECK_EQ(static_cast<size_t>((*inner_ids)[i]), base_inner + i)
-        << "inner service id allocation diverged from admission order";
-  }
-  // A batch admits whole, then flushes once: the inner engine resets
-  // its per-arrival phase (see CoordinationEngine::SubmitBatch).
-  if (evaluate_every_ > 0) cadence_phase_ = 0;
-  MaybeAutoSnapshot();
   return ids;
 }
 
 bool DurableCoordinationService::Cancel(QueryId id) {
   ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  if (id < 0 || static_cast<size_t>(id) >= durable_to_inner_.size()) {
-    return false;
-  }
-  const QueryId inner_id = durable_to_inner_[static_cast<size_t>(id)];
-  if (inner_id < 0) return false;
+  const QueryId inner_id = InnerId(id);
   // Admission check before logging: the probe settles any queued intake
   // (the query may coordinate as earlier events drain), so a logged
   // cancel is always applicable on replay.
-  if (!inner_->IsPending(inner_id)) return false;
+  if (inner_id < 0 || !inner_->IsPending(inner_id)) return false;
 
   WalRecord record;
   record.kind = WalRecord::Kind::kCancel;
@@ -400,7 +393,6 @@ bool DurableCoordinationService::Cancel(QueryId id) {
   const bool cancelled = inner_->Cancel(inner_id);
   ENTANGLED_CHECK(cancelled) << "settled pending query refused to cancel";
   live_.erase(id);
-  durable_to_inner_[static_cast<size_t>(id)] = -1;
   MaybeAutoSnapshot();
   return true;
 }
@@ -437,35 +429,22 @@ void DurableCoordinationService::set_evaluate_every(size_t evaluate_every) {
 
 std::vector<QueryId> DurableCoordinationService::PendingQueries() const {
   std::vector<QueryId> pending = inner_->PendingQueries();
-  for (QueryId& id : pending) {
-    id = static_cast<QueryId>(inner_to_durable_[static_cast<size_t>(id)]);
-  }
-  // Both namespaces grow in admission order, so the translation is
-  // monotone and the list stays ascending.
+  // The translation is monotone (the recovered prefix sits below every
+  // later id in both namespaces), so the list stays ascending.
+  for (QueryId& id : pending) id = DurableId(id);
   return pending;
 }
 
 bool DurableCoordinationService::IsPending(QueryId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= durable_to_inner_.size()) {
-    return false;
-  }
-  const QueryId inner_id = durable_to_inner_[static_cast<size_t>(id)];
-  if (inner_id < 0) return false;
-  return inner_->IsPending(inner_id);
+  const QueryId inner_id = InnerId(id);
+  return inner_id >= 0 && inner_->IsPending(inner_id);
 }
 
 std::vector<QueryId> DurableCoordinationService::ComponentOf(
     QueryId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= durable_to_inner_.size()) {
-    return {};
-  }
-  const QueryId inner_id = durable_to_inner_[static_cast<size_t>(id)];
-  if (inner_id < 0) return {};
-  std::vector<QueryId> component = inner_->ComponentOf(inner_id);
-  for (QueryId& member : component) {
-    member =
-        static_cast<QueryId>(inner_to_durable_[static_cast<size_t>(member)]);
-  }
+  if (!IsPending(id)) return {};
+  std::vector<QueryId> component = inner_->ComponentOf(InnerId(id));
+  for (QueryId& member : component) member = DurableId(member);
   return component;
 }
 
@@ -561,19 +540,10 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
         sessions->AdoptRecovered(record.session,
                                  static_cast<QueryId>(record.id));
       }
-      // Adopt before the inner call (see Submit): replay runs at the
-      // recorded cadence, so the call itself can deliver.  A validated
-      // text cannot be refused by the inner service, hence the CHECK
-      // rather than an anomaly.
-      const int64_t var_start = next_durable_var_;
-      const QueryId expected_inner =
-          static_cast<QueryId>(inner_to_durable_.size());
-      AdoptAdmitted(record.id, record.session, record.text, expected_inner,
-                    *var_count, var_start);
-      auto inner_id = inner_->Submit(record.text);
-      ENTANGLED_CHECK(inner_id.ok() && *inner_id == expected_inner)
-          << "validated replay submit diverged in the inner service";
-      TickSubmitPhase();
+      // Replay runs at the recorded cadence, so the call itself can
+      // deliver.  A validated text cannot be refused by the inner
+      // service, hence a CHECK rather than an anomaly.
+      ForwardSubmit(record.session, record.text, *var_count);
       // Second adoption pass marks the query session-pending now that
       // the service can answer IsPending for it.
       if (sessions != nullptr && record.session >= 0) {
@@ -604,16 +574,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                    static_cast<QueryId>(durable_id));
         }
       }
-      const size_t base_inner = inner_to_durable_.size();
-      for (size_t i = 0; i < texts.size(); ++i) {
-        AdoptAdmitted(record.batch[i].first, record.session, texts[i],
-                      static_cast<QueryId>(base_inner + i), var_counts[i],
-                      next_durable_var_);
-      }
-      auto inner_ids = inner_->SubmitBatch(texts);
-      ENTANGLED_CHECK(inner_ids.ok() && inner_ids->size() == texts.size())
-          << "validated replay batch diverged in the inner service";
-      if (evaluate_every_ > 0) cadence_phase_ = 0;
+      ForwardBatch(record.session, texts, var_counts);
       if (sessions != nullptr && record.session >= 0) {
         for (const auto& [durable_id, text] : record.batch) {
           sessions->AdoptRecovered(record.session,
@@ -623,13 +584,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
       return;
     }
     case WalRecord::Kind::kCancel: {
-      if (record.id < 0 ||
-          static_cast<size_t>(record.id) >= durable_to_inner_.size()) {
-        ++report_.anomalies;
-        return;
-      }
-      const QueryId inner_id =
-          durable_to_inner_[static_cast<size_t>(record.id)];
+      const QueryId inner_id = InnerId(record.id);
       if (inner_id < 0 || !inner_->IsPending(inner_id)) {
         ++report_.anomalies;
         return;
@@ -637,7 +592,6 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
       const bool cancelled = inner_->Cancel(inner_id);
       ENTANGLED_CHECK(cancelled);
       live_.erase(record.id);
-      durable_to_inner_[static_cast<size_t>(record.id)] = -1;
       if (sessions != nullptr) {
         sessions->UnadoptRecovered(static_cast<QueryId>(record.id));
       }
@@ -672,7 +626,6 @@ Status DurableCoordinationService::Recover(DurableState state,
   delivered_next_ = state.snapshot.next_sequence;
   evaluate_every_ = static_cast<size_t>(state.snapshot.evaluate_every);
   total_events_ = state.snapshot.total_events;
-  durable_to_inner_.assign(static_cast<size_t>(next_durable_id_), -1);
 
   // The suppression watermark: everything below it reached clients
   // pre-crash.  Marks ride in the tail; the snapshot is a floor.
@@ -687,33 +640,47 @@ Status DurableCoordinationService::Recover(DurableState state,
   // suspended: admission must not deliver while the set is a partial
   // prefix (the pre-crash service never evaluated these mid-rebuild
   // either; their admission-time evaluations already ran before the
-  // snapshot and found nothing, or they would not be pending).
+  // snapshot and found nothing, or they would not be pending).  They
+  // become inner ids [0, P) in ascending durable order — the recovered
+  // prefix — and every later admission lands past it in both
+  // namespaces, one offset away.
+  id_offset_ = next_durable_id_ -
+               static_cast<int64_t>(state.snapshot.pending.size());
+  auto abort = [this](const std::string& message) {
+    replaying_ = false;
+    replay_sessions_ = nullptr;
+    return Status::Internal(message);
+  };
   inner_->set_evaluate_every(0);
   for (const SnapshotPendingQuery& pending : state.snapshot.pending) {
+    if (pending.id >= next_durable_id_ ||
+        (!recovered_.empty() && pending.id <= recovered_.back().durable_id)) {
+      return abort("snapshot pending query " + std::to_string(pending.id) +
+                   " is out of order");
+    }
     auto var_count = ValidateText(pending.text);
     if (!var_count.ok() || *var_count != pending.var_count) {
-      replaying_ = false;
-      replay_sessions_ = nullptr;
-      return Status::Internal("snapshot pending query " +
-                              std::to_string(pending.id) +
-                              " no longer parses: " +
-                              var_count.status().message());
+      return abort("snapshot pending query " + std::to_string(pending.id) +
+                   " no longer parses: " + var_count.status().message());
     }
     auto inner_id = inner_->Submit(pending.text);
     if (!inner_id.ok()) {
-      replaying_ = false;
-      replay_sessions_ = nullptr;
-      return Status::Internal("snapshot pending resubmission failed: " +
-                              inner_id.status().message());
+      return abort("snapshot pending resubmission failed: " +
+                   inner_id.status().message());
     }
-    AdoptAdmitted(pending.id, pending.session, pending.text, *inner_id,
-                  pending.var_count, pending.var_start);
+    ENTANGLED_CHECK_EQ(static_cast<size_t>(*inner_id), recovered_.size())
+        << "Recover() needs a fresh inner service";
+    recovered_.push_back({pending.id, recovered_vars_, pending.var_start});
+    recovered_vars_ += pending.var_count;
+    live_[pending.id] = LiveQuery{pending.session, pending.var_start,
+                                  pending.var_count, pending.text};
     if (sessions != nullptr && pending.session >= 0) {
       sessions->AdoptRecovered(pending.session,
                                static_cast<QueryId>(pending.id));
     }
   }
   report_.recovered_pending = state.snapshot.pending.size();
+  var_offset_ = next_durable_var_ - recovered_vars_;
 
   // Cadence resumes exactly where the snapshot froze it.
   inner_->set_evaluate_every(evaluate_every_);

@@ -99,10 +99,13 @@ Result<DurableState> ReadDurableState(const std::string& dir);
 /// validation, pending probes) but *before* it is applied to the inner
 /// service, so the log holds exactly the accepted intent stream.  The
 /// decorator owns a durable id/variable namespace that survives
-/// restarts: inner ids and variables are remapped on the way out
-/// (deliveries) and in (cancels), by pure arithmetic — admission order
-/// determines both namespaces, so the maps extend without ever reading
-/// engine internals.
+/// restarts.  Until a Recover() the inner service allocates exactly the
+/// durable ids and variables (admission order determines both).  A
+/// recovered process resubmits the snapshot's P pending queries first,
+/// as inner ids [0, P), so only those differ by a lookup; every later
+/// id and variable is one constant offset away.  Ids are translated on
+/// the way in (cancels, reads) and deliveries on the way out
+/// (TranslateDelivery), without ever reading engine internals.
 ///
 /// Recovery = load latest snapshot + resubmit its pending queries with
 /// evaluation suspended + replay the WAL tail at the recorded cadence.
@@ -179,15 +182,38 @@ class DurableCoordinationService : public CoordinationService {
     std::string text;
   };
 
+  /// One snapshot-pending query Recover() resubmitted; its inner id is
+  /// its index in recovered_.
+  struct RecoveredQuery {
+    int64_t durable_id = 0;
+    int64_t inner_var_start = 0;
+    int64_t durable_var_start = 0;
+  };
+
   DurableCoordinationService(CoordinationService* inner, const Database* db,
                              DurabilityOptions options);
 
   Status LogRecord(const WalRecord& record);
   void OnInnerDelivery(const Delivery& delivery);
-  /// Extends both id namespaces and the variable map for one admission.
-  void AdoptAdmitted(int64_t durable_id, int64_t session,
-                     const std::string& text, QueryId inner_id,
-                     size_t var_count, int64_t var_start);
+  /// Allocates the next durable id and variables for one admission,
+  /// records it live, and returns the inner id the inner service must
+  /// assign it.  Runs before the inner call, whose per-arrival
+  /// evaluation may deliver the query at once.
+  QueryId AdmitNext(int64_t session, const std::string& text,
+                    size_t var_count);
+  /// Admits a validated text (or batch) and forwards it to the inner
+  /// service, checking the inner ids and mirroring the cadence.
+  void ForwardSubmit(int64_t session, const std::string& text,
+                     size_t var_count);
+  void ForwardBatch(int64_t session, const std::vector<std::string>& texts,
+                    const std::vector<size_t>& var_counts);
+  /// Durable id of an inner query / durable variable of an inner one.
+  QueryId DurableId(QueryId inner) const;
+  VarId DurableVar(VarId inner) const;
+  /// Inner id of durable query `id`, or -1 when this process never
+  /// admitted it (not yet assigned, or retired before the snapshot it
+  /// recovered from).
+  QueryId InnerId(int64_t id) const;
   void TickSubmitPhase();
   void MaybeAutoSnapshot();
   Status RotateWithSnapshot(uint64_t new_epoch);
@@ -215,10 +241,11 @@ class DurableCoordinationService : public CoordinationService {
   // Durable namespaces and their inner translations.
   int64_t next_durable_id_ = 0;
   int64_t next_durable_var_ = 0;
-  std::vector<int64_t> inner_to_durable_;     ///< indexed by inner QueryId
-  std::vector<QueryId> durable_to_inner_;     ///< indexed by durable id; -1 gone
-  std::vector<VarId> inner_var_to_durable_;   ///< indexed by inner VarId
-  std::map<int64_t, LiveQuery> live_;         ///< durable id -> admitted intent
+  std::vector<RecoveredQuery> recovered_;  ///< the recovered prefix
+  int64_t recovered_vars_ = 0;  ///< inner variables the prefix allocated
+  int64_t id_offset_ = 0;       ///< durable - inner id past the prefix
+  int64_t var_offset_ = 0;      ///< durable - inner variable past it
+  std::map<int64_t, LiveQuery> live_;  ///< durable id -> admitted intent
 
   // Delivery sequencing: durable sequence = offset + inner sequence.
   uint64_t sequence_offset_ = 0;

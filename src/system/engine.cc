@@ -93,33 +93,25 @@ Result<std::vector<QueryId>> CoordinationEngine::SubmitBatch(
   }
   CheckNotReentrant("SubmitBatch");
   DrainIntake();  // empty deferred batch: flush below covers the queue
-  // Admission is all-or-nothing: parse the whole batch against a
-  // staging set first, so a mid-batch syntax error leaves no orphaned
-  // half-batch pending with ids the caller never received.
-  {
-    QuerySet staging;
-    for (const std::string& text : query_texts) {
-      auto id = ParseQuery(text, &staging);
-      if (!id.ok()) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return id.status();
-      }
+  // Admission is all-or-nothing: parse the whole batch into a staging
+  // set first, so a mid-batch syntax error leaves no orphaned half-batch
+  // pending with ids the caller never received.  Adopting it whole
+  // allocates the ids and variables a direct parse would.
+  QuerySet staging;
+  for (const std::string& text : query_texts) {
+    auto id = ParseQuery(text, &staging);
+    if (!id.ok()) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return id.status();
     }
   }
-  std::vector<QueryId> ids;
-  ids.reserve(query_texts.size());
+  std::vector<QueryId> ids = all_.AdoptAll(staging);
   // Suspend per-arrival evaluation while the batch is admitted: the
   // whole batch lands in the graph first, then one Flush() examines the
   // (merged) dirty components once instead of once per arrival.
   const size_t evaluate_every = options_.evaluate_every;
   options_.evaluate_every = 0;
-  for (const std::string& text : query_texts) {
-    auto id = ParseQuery(text, &all_);
-    ENTANGLED_CHECK(id.ok()) << "validated batch re-parse failed: "
-                             << id.status().ToString();
-    Admit(*id);
-    ids.push_back(*id);
-  }
+  for (QueryId id : ids) Admit(id);
   options_.evaluate_every = evaluate_every;
   if (evaluate_every > 0) {
     since_last_eval_ = 0;

@@ -435,10 +435,10 @@ class CoordinationEngine : public CoordinationService {
   QueryId last_delivery_schedule_key() const { return last_delivery_key_; }
 
  private:
-  /// The sharded front door consumes raw engine-space solutions (it
-  /// must translate shard-local ids/variables to global ones and merge
-  /// several shards' streams before materializing public Deliveries),
-  /// so it taps this internal hook instead of the public callback.
+  /// The sharded front door materializes shard solutions itself (it
+  /// must rewrite shard-local ids/variables to global ones and merge
+  /// several shards' streams before firing any Delivery), so it taps
+  /// this internal hook instead of the public callback.
   /// Deliberately private: no public callback or event may expose the
   /// engine-internal QuerySet/CoordinationSolution types.
   friend class ShardedCoordinationEngine;

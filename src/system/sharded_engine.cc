@@ -42,12 +42,15 @@ void ShardedCoordinationEngine::CheckNotReentrant(
 Result<QueryId> ShardedCoordinationEngine::Submit(
     const std::string& query_text) {
   CheckNotReentrant("Submit");
-  auto id = ParseQuery(query_text, &all_);
-  if (!id.ok()) {
+  QuerySet staging;
+  auto parsed = ParseQuery(query_text, &staging);
+  if (!parsed.ok()) {
     ++front_stats_.rejected;
-    return id.status();
+    return parsed.status();
   }
-  RouteAndAdmit(*id);
+  const QueryId id = next_id_++;
+  const Locator loc = RouteAndAdmit(staging, *parsed, id, next_var_);
+  next_var_ += static_cast<VarId>(staging.num_vars());
   ++front_stats_.submitted;
 
   if (options_.engine.evaluate_every > 0 &&
@@ -55,7 +58,6 @@ Result<QueryId> ShardedCoordinationEngine::Submit(
     since_last_eval_ = 0;
     // The §6.1 per-arrival step: evaluate exactly the arrival's
     // component, in its shard; nothing else is examined.
-    const Locator loc = locators_[static_cast<size_t>(*id)];
     shards_[loc.shard].engine->EvaluateNow(loc.local);
     DrainDeliveries({loc.shard});
     MaybeGcShards({loc.shard});
@@ -66,28 +68,26 @@ Result<QueryId> ShardedCoordinationEngine::Submit(
 Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
     const std::vector<std::string>& query_texts) {
   CheckNotReentrant("SubmitBatch");
-  // All-or-nothing admission, exactly like CoordinationEngine: validate
-  // the whole batch against a staging set before admitting anything.
-  {
-    QuerySet staging;
-    for (const std::string& text : query_texts) {
-      auto id = ParseQuery(text, &staging);
-      if (!id.ok()) {
-        ++front_stats_.rejected;
-        return id.status();
-      }
+  // All-or-nothing admission, exactly like CoordinationEngine: parse the
+  // whole batch into one staging set before admitting anything.  Its
+  // variables are allocated in submission order, so global variables
+  // are one offset away.
+  QuerySet staging;
+  for (const std::string& text : query_texts) {
+    auto parsed = ParseQuery(text, &staging);
+    if (!parsed.ok()) {
+      ++front_stats_.rejected;
+      return parsed.status();
     }
   }
   std::vector<QueryId> ids;
-  ids.reserve(query_texts.size());
-  for (const std::string& text : query_texts) {
-    auto id = ParseQuery(text, &all_);
-    ENTANGLED_CHECK(id.ok()) << "validated batch re-parse failed: "
-                             << id.status().ToString();
-    RouteAndAdmit(*id);
+  ids.reserve(staging.size());
+  for (QueryId sid = 0; sid < static_cast<QueryId>(staging.size()); ++sid) {
+    ids.push_back(next_id_++);
+    RouteAndAdmit(staging, sid, ids.back(), next_var_);
     ++front_stats_.submitted;
-    ids.push_back(*id);
   }
+  next_var_ += static_cast<VarId>(staging.num_vars());
   // The whole batch landed before any evaluation; now flush once, as a
   // single engine would.
   if (options_.engine.evaluate_every > 0) {
@@ -97,8 +97,9 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
   return ids;
 }
 
-void ShardedCoordinationEngine::RouteAndAdmit(QueryId gid) {
-  std::vector<RelationId> footprint = router_.Footprint(all_, gid);
+ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
+    const QuerySet& staging, QueryId sid, QueryId gid, VarId var_base) {
+  std::vector<RelationId> footprint = router_.Footprint(staging, sid);
   if (footprint.empty()) {
     // No postconditions and no head atoms (unreachable through the
     // parser, which requires a head): the query can never gain a
@@ -148,11 +149,23 @@ void ShardedCoordinationEngine::RouteAndAdmit(QueryId gid) {
   group_shard_[root] = slot;
   shards_[slot].group_root = root;
 
-  AdoptIntoShard(slot, gid);
-  pending_.resize(all_.size(), false);
-  pending_[static_cast<size_t>(gid)] = true;
-  ++num_pending_;
+  // The global id doubles as the schedule key: unique across shards and
+  // monotone in submission order, which is all the inner engines need
+  // to reproduce a single engine's tie-breaks.
+  Shard& shard = shards_[slot];
+  const std::vector<QueryId> keys{gid};
+  std::vector<std::pair<VarId, VarId>> adopted_vars;
+  const QueryId local =
+      shard.engine->AdoptPending(staging, {sid}, &adopted_vars, &keys).front();
+  for (const auto& [svar, lvar] : adopted_vars) {
+    // Adoption allocates local variables consecutively.
+    ENTANGLED_CHECK_EQ(static_cast<size_t>(lvar), shard.lvar_to_gvar.size());
+    shard.lvar_to_gvar.push_back(var_base + svar);
+  }
+  const Locator loc{slot, local};
+  pending_.emplace(gid, loc);
   flush_candidates_.insert(slot);
+  return loc;
 }
 
 size_t ShardedCoordinationEngine::CreateShard() {
@@ -161,9 +174,7 @@ size_t ShardedCoordinationEngine::CreateShard() {
   size_t slot;
   if (!free_slots_.empty()) {
     // Reuse a retired slot so the shard table stays proportional to
-    // the number of *live* shards under create/GC churn.  Stale
-    // locators_ entries naming this slot all belong to non-pending
-    // queries, which every lookup path gates on IsPending first.
+    // the number of *live* shards under create/GC churn.
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
@@ -173,42 +184,16 @@ size_t ShardedCoordinationEngine::CreateShard() {
   shards_[slot].engine = std::make_unique<CoordinationEngine>(db_, inner);
   // Capture the slot index, not the Shard: shards_ may reallocate as
   // new shards are created (never during a flush).  The *internal*
-  // solution hook hands us the raw engine-space solution — the front
-  // door owns the local->global translation and materializes public
-  // Deliveries only after the cross-shard merge.
+  // solution hook hands us the shard's query set and its engine-space
+  // solution; the front door materializes and translates the Delivery
+  // and fires it only after the cross-shard merge.
   shards_[slot].engine->set_internal_solution_callback(
-      [this, slot](const QuerySet&, const CoordinationSolution& solution) {
-        OnShardDelivery(slot, solution);
+      [this, slot](const QuerySet& set, const CoordinationSolution& solution) {
+        OnShardDelivery(slot, set, solution);
       });
   ++num_live_shards_;
   ++sharded_stats_.shards_created;
   return slot;
-}
-
-void ShardedCoordinationEngine::AdoptIntoShard(size_t slot, QueryId gid) {
-  Shard& shard = shards_[slot];
-  std::vector<VarId> dense_to_gvar;
-  QuerySet staging = all_.Subset({gid}, nullptr, &dense_to_gvar);
-  std::vector<std::pair<VarId, VarId>> adopted_vars;
-  // The global id doubles as the schedule key: unique across shards and
-  // monotone in submission order, which is all the inner engines need
-  // to reproduce a single engine's tie-breaks.
-  const std::vector<QueryId> keys{gid};
-  const QueryId local =
-      shard.engine->AdoptPending(staging, {0}, &adopted_vars, &keys).front();
-
-  ENTANGLED_CHECK_EQ(static_cast<size_t>(local),
-                     shard.local_to_global.size());
-  shard.local_to_global.push_back(gid);
-  for (const auto& [dense, lvar] : adopted_vars) {
-    if (static_cast<size_t>(lvar) >= shard.lvar_to_gvar.size()) {
-      shard.lvar_to_gvar.resize(static_cast<size_t>(lvar) + 1, -1);
-    }
-    shard.lvar_to_gvar[static_cast<size_t>(lvar)] =
-        dense_to_gvar[static_cast<size_t>(dense)];
-  }
-  locators_.resize(all_.size());
-  locators_[static_cast<size_t>(gid)] = Locator{slot, local};
 }
 
 size_t ShardedCoordinationEngine::MergeShards(
@@ -255,23 +240,16 @@ uint64_t ShardedCoordinationEngine::AdoptExtractIntoShard(
   const std::vector<QueryId> locals =
       into.engine->AdoptPending(extract, &adopted_vars);
   for (size_t j = 0; j < locals.size(); ++j) {
-    // The extract's keys are this front door's global ids (AdoptIntoShard
-    // planted them), so no source-table lookup is needed for ids.
-    const QueryId gid = extract.keys[j];
-    ENTANGLED_CHECK_EQ(static_cast<size_t>(locals[j]),
-                       into.local_to_global.size());
-    into.local_to_global.push_back(gid);
-    locators_[static_cast<size_t>(gid)] = Locator{into_slot, locals[j]};
+    // The extract's keys are this front door's global ids.
+    pending_.at(extract.keys[j]) = Locator{into_slot, locals[j]};
   }
   for (const auto& [dense, lvar] : adopted_vars) {
     // dense var -> source shard var -> global var.
     const VarId old_lvar =
         extract.original_vars[static_cast<size_t>(dense)];
-    const VarId gvar = from.lvar_to_gvar[static_cast<size_t>(old_lvar)];
-    if (static_cast<size_t>(lvar) >= into.lvar_to_gvar.size()) {
-      into.lvar_to_gvar.resize(static_cast<size_t>(lvar) + 1, -1);
-    }
-    into.lvar_to_gvar[static_cast<size_t>(lvar)] = gvar;
+    ENTANGLED_CHECK_EQ(static_cast<size_t>(lvar), into.lvar_to_gvar.size());
+    into.lvar_to_gvar.push_back(
+        from.lvar_to_gvar[static_cast<size_t>(old_lvar)]);
   }
   return static_cast<uint64_t>(locals.size());
 }
@@ -282,8 +260,6 @@ void ShardedCoordinationEngine::RetireShard(size_t slot, bool absorbed) {
   ENTANGLED_CHECK(shard.deliveries.empty());
   retired_stats_ += shard.engine->stats();
   shard.engine.reset();
-  shard.local_to_global.clear();
-  shard.local_to_global.shrink_to_fit();
   shard.lvar_to_gvar.clear();
   shard.lvar_to_gvar.shrink_to_fit();
   shard.group_root = -1;
@@ -302,12 +278,12 @@ void ShardedCoordinationEngine::RetireShard(size_t slot, bool absorbed) {
 
 bool ShardedCoordinationEngine::Cancel(QueryId id) {
   CheckNotReentrant("Cancel");
-  if (!IsPending(id)) return false;
-  const Locator loc = locators_[static_cast<size_t>(id)];
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return false;
+  const Locator loc = it->second;
   const bool cancelled = shards_[loc.shard].engine->Cancel(loc.local);
   ENTANGLED_CHECK(cancelled) << "shard disagreed about pending query " << id;
-  pending_[static_cast<size_t>(id)] = false;
-  --num_pending_;
+  pending_.erase(it);
   // Shrinking a component can make it coordinable; the shard now holds
   // dirty fragments.
   flush_candidates_.insert(loc.shard);
@@ -316,28 +292,24 @@ bool ShardedCoordinationEngine::Cancel(QueryId id) {
 }
 
 bool ShardedCoordinationEngine::IsPending(QueryId id) const {
-  return id >= 0 && static_cast<size_t>(id) < pending_.size() &&
-         pending_[static_cast<size_t>(id)];
+  return pending_.count(id) != 0;
 }
 
 std::vector<QueryId> ShardedCoordinationEngine::PendingQueries() const {
   std::vector<QueryId> pending;
-  pending.reserve(num_pending_);
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i]) pending.push_back(static_cast<QueryId>(i));
-  }
+  pending.reserve(pending_.size());
+  for (const auto& [gid, loc] : pending_) pending.push_back(gid);
+  std::sort(pending.begin(), pending.end());
   return pending;
 }
 
 std::vector<QueryId> ShardedCoordinationEngine::ComponentOf(
     QueryId id) const {
-  ENTANGLED_CHECK(IsPending(id)) << "query " << id << " is not pending";
-  const Locator loc = locators_[static_cast<size_t>(id)];
-  const Shard& shard = shards_[loc.shard];
-  std::vector<QueryId> component = shard.engine->ComponentOf(loc.local);
-  for (QueryId& q : component) {
-    q = shard.local_to_global[static_cast<size_t>(q)];
-  }
+  auto it = pending_.find(id);
+  ENTANGLED_CHECK(it != pending_.end()) << "query " << id << " is not pending";
+  const CoordinationEngine& engine = *shards_[it->second.shard].engine;
+  std::vector<QueryId> component = engine.ComponentOf(it->second.local);
+  for (QueryId& q : component) q = engine.key_of(q);
   // Local ids need not be monotone in global ids after a merge, so sort
   // to restore the ascending order ComponentOf promises.
   std::sort(component.begin(), component.end());
@@ -347,8 +319,7 @@ std::vector<QueryId> ShardedCoordinationEngine::ComponentOf(
 bool ShardedCoordinationEngine::SameShard(QueryId a, QueryId b) const {
   ENTANGLED_CHECK(IsPending(a)) << "query " << a << " is not pending";
   ENTANGLED_CHECK(IsPending(b)) << "query " << b << " is not pending";
-  return locators_[static_cast<size_t>(a)].shard ==
-         locators_[static_cast<size_t>(b)].shard;
+  return pending_.at(a).shard == pending_.at(b).shard;
 }
 
 EngineStats ShardedCoordinationEngine::StatsSnapshot() const {
@@ -362,7 +333,7 @@ EngineStats ShardedCoordinationEngine::StatsSnapshot() const {
 
 ServiceGauges ShardedCoordinationEngine::GaugesSnapshot() const {
   ServiceGauges gauges;
-  gauges.pending = num_pending_;
+  gauges.pending = pending_.size();
   gauges.live_shards = num_live_shards_;
   gauges.group_merges = sharded_stats_.group_merges;
   gauges.queries_migrated = sharded_stats_.queries_migrated;
@@ -387,30 +358,31 @@ ServiceGauges ShardedCoordinationEngine::GaugesSnapshot() const {
 // ---------------------------------------------------------------------------
 
 void ShardedCoordinationEngine::OnShardDelivery(
-    size_t slot, const CoordinationSolution& solution) {
+    size_t slot, const QuerySet& set, const CoordinationSolution& solution) {
   // Runs on whichever thread is flushing this shard; touches only the
   // shard's own tables and buffer, so concurrent shard flushes never
   // share state.
   Shard& shard = shards_[slot];
-  BufferedDelivery delivery;
+  const CoordinationEngine& engine = *shard.engine;
+  BufferedDelivery buffered;
   // The inner engine's schedule keys ARE this front door's global ids,
-  // so the delivery key needs no table lookup.
-  delivery.key = shard.engine->last_delivery_schedule_key();
-  delivery.solution.queries.reserve(solution.queries.size());
-  for (QueryId local : solution.queries) {
-    delivery.solution.queries.push_back(
-        shard.local_to_global[static_cast<size_t>(local)]);
+  // so the merge key and every participant's global id are key reads.
+  buffered.key = engine.last_delivery_schedule_key();
+  if (callback_) {
+    // Materialize only when somebody listens, as a single engine does.
+    buffered.delivery = MakeDelivery(set, solution, /*sequence=*/0);
+  } else {
+    for (QueryId local : solution.queries) {
+      buffered.delivery.queries.emplace_back().id = local;
+    }
   }
-  // Local ids lose global monotonicity once a merge lands migrated
-  // queries, so restore the ascending global order a single engine's
-  // deliveries report.
-  std::sort(delivery.solution.queries.begin(),
-            delivery.solution.queries.end());
-  solution.assignment.ForEach([&](VarId lvar, const Value& value) {
-    delivery.solution.assignment.emplace(
-        shard.lvar_to_gvar[static_cast<size_t>(lvar)], value);
-  });
-  shard.deliveries.push_back(std::move(delivery));
+  TranslateDelivery(
+      [&engine](QueryId local) { return engine.key_of(local); },
+      [&shard](VarId lvar) {
+        return shard.lvar_to_gvar[static_cast<size_t>(lvar)];
+      },
+      &buffered.delivery);
+  shard.deliveries.push_back(std::move(buffered));
 }
 
 size_t ShardedCoordinationEngine::DrainDeliveries(
@@ -434,18 +406,16 @@ size_t ShardedCoordinationEngine::DrainDeliveries(
                    [](const BufferedDelivery& a, const BufferedDelivery& b) {
                      return a.key < b.key;
                    });
-  for (BufferedDelivery& delivery : merged) {
-    for (QueryId gid : delivery.solution.queries) {
-      ENTANGLED_CHECK(pending_[static_cast<size_t>(gid)])
-          << "query " << gid << " delivered twice";
-      pending_[static_cast<size_t>(gid)] = false;
-      --num_pending_;
+  for (BufferedDelivery& buffered : merged) {
+    Delivery& delivery = buffered.delivery;
+    for (const DeliveredQuery& q : delivery.queries) {
+      const size_t erased = pending_.erase(q.id);
+      ENTANGLED_CHECK_EQ(erased, 1u) << "query " << q.id << " delivered twice";
     }
-    const uint64_t sequence = next_delivery_sequence_++;
+    delivery.sequence = next_delivery_sequence_++;
     if (callback_) {
-      const Delivery event = MakeDelivery(all_, delivery.solution, sequence);
       in_callback_ = true;
-      callback_(event);
+      callback_(delivery);
       in_callback_ = false;
     }
   }

@@ -78,10 +78,17 @@ struct ShardedStats {
 /// (CoordinationEngine::last_delivery_schedule_key), i.e.
 /// merge-by-smallest-global-id.
 ///
-/// The public API is single-threaded, like CoordinationEngine's; the
-/// global↔shard translation tables (query ids and witness variables)
-/// are maintained on the calling thread, and callbacks always fire on
-/// the calling thread with global ids.
+/// Each query is stored once, in the shard that owns it: Submit parses
+/// a text into a staging set, routes it by that set's footprint, and
+/// adopts it into the shard under the next global id (its schedule key)
+/// and the next global variables.  The front door keeps only a locator
+/// per *pending* query and, per live shard, the local->global variable
+/// map; deliveries are materialized from the shard's own query set on
+/// whichever thread flushes the shard and rewritten to global ids
+/// (TranslateDelivery, api/delivery.h).
+///
+/// The public API is single-threaded, like CoordinationEngine's;
+/// callbacks always fire on the calling thread with global ids.
 class ShardedCoordinationEngine : public CoordinationService {
  public:
   ShardedCoordinationEngine(const Database* db,
@@ -111,7 +118,7 @@ class ShardedCoordinationEngine : public CoordinationService {
 
   std::vector<QueryId> PendingQueries() const override;
   bool IsPending(QueryId id) const override;
-  size_t num_pending() const override { return num_pending_; }
+  size_t num_pending() const override { return pending_.size(); }
   std::vector<QueryId> ComponentOf(QueryId id) const override;
 
   /// Aggregate across the front door, every live shard, and every
@@ -124,10 +131,6 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// evaluations) plus the global merge/migration counters.  Passive —
   /// inner engines run inline intake (depth 0) and nothing drains.
   ServiceGauges GaugesSnapshot() const override;
-
-  /// Global master query set (ids and variables as the callbacks and
-  /// witnesses report them).
-  const QuerySet& queries() const { return all_; }
 
   // ------------------------------------------------------------------
   // Introspection (tests, benches, operators)
@@ -150,22 +153,21 @@ class ShardedCoordinationEngine : public CoordinationService {
     QueryId local = -1;
   };
 
-  /// One delivery buffered during a shard flush, already translated to
-  /// global ids/variables, keyed for the cross-shard merge.
+  /// One delivery buffered during a shard flush, already in global ids
+  /// and variables, keyed for the cross-shard merge.
   struct BufferedDelivery {
     QueryId key = -1;  ///< global schedule key (component smallest id)
-    CoordinationSolution solution;
+    /// Fully materialized when a delivery callback is set; otherwise
+    /// only the participant ids are filled in.
+    Delivery delivery;
   };
 
   struct Shard {
     std::unique_ptr<CoordinationEngine> engine;  ///< null once retired
     RelationId group_root = -1;
-    /// Local id -> global id.  Appended in adoption order — NOT
-    /// globally sorted once a merge lands migrated queries: ordering
-    /// correctness rides on schedule keys (== global ids), never on
-    /// this table's monotonicity.
-    std::vector<QueryId> local_to_global;
-    std::vector<VarId> lvar_to_gvar;       ///< local var -> global var
+    /// Local var -> global var.  Local ids need no table: the inner
+    /// engine's schedule keys are the global ids.
+    std::vector<VarId> lvar_to_gvar;
     /// Filled by this shard's delivery callback (on whichever thread
     /// flushes the shard — each shard is flushed by exactly one
     /// thread), drained and merged on the calling thread.
@@ -174,11 +176,14 @@ class ShardedCoordinationEngine : public CoordinationService {
 
   void CheckNotReentrant(const char* entry_point) const;
 
-  /// Routes the freshly parsed global query `gid`: computes its
-  /// footprint, unites the touched relation groups (merging shards when
-  /// the footprint bridges several), adopts the query into the owning
-  /// shard, and registers the global bookkeeping.  No evaluation.
-  void RouteAndAdmit(QueryId gid);
+  /// Routes query `sid` of a freshly parsed `staging` set as global
+  /// query `gid`, whose variables are `var_base` plus its staging
+  /// variables: computes its footprint, unites the touched relation
+  /// groups (merging shards when the footprint bridges several), adopts
+  /// the query into the owning shard, and marks it pending.  No
+  /// evaluation.  Returns where the query landed.
+  Locator RouteAndAdmit(const QuerySet& staging, QueryId sid, QueryId gid,
+                        VarId var_base);
 
   /// Fresh inner engine wired to this front door; returns its slot.
   size_t CreateShard();
@@ -192,24 +197,22 @@ class ShardedCoordinationEngine : public CoordinationService {
   size_t MergeShards(const std::vector<size_t>& slots);
 
   /// Adopts one source extract into `into_slot`'s engine (single bulk
-  /// AdoptPending) and rewires the id/variable translations and
-  /// locators; `from_slot` names the source shard whose tables map the
+  /// AdoptPending) and rewires the variable map and locators;
+  /// `from_slot` names the source shard whose variable map takes the
   /// extract back to global space.  Returns the number of queries
   /// moved.
   uint64_t AdoptExtractIntoShard(
       size_t into_slot, size_t from_slot,
       const CoordinationEngine::PendingExtract& extract);
 
-  /// Copies global query `gid` into `slot`'s engine and records the
-  /// id/variable translations.
-  void AdoptIntoShard(size_t slot, QueryId gid);
-
   /// Folds the shard's stats into the retired accumulator and destroys
   /// its engine.
   void RetireShard(size_t slot, bool absorbed);
 
-  /// Shard-callback target: translate and buffer one delivery.
-  void OnShardDelivery(size_t slot, const CoordinationSolution& solution);
+  /// Shard-callback target: materialize one delivery from the shard's
+  /// query set `set`, translate it to global space, and buffer it.
+  void OnShardDelivery(size_t slot, const QuerySet& set,
+                       const CoordinationSolution& solution);
 
   /// Merges the named slots' buffered deliveries by schedule key,
   /// updates the global pending set, and fires the outer callback per
@@ -225,10 +228,11 @@ class ShardedCoordinationEngine : public CoordinationService {
   const Database* db_;
   ShardedEngineOptions options_;
 
-  QuerySet all_;               // global mirror: ids/vars match a single engine
-  std::vector<bool> pending_;  // per global id
-  size_t num_pending_ = 0;
-  std::vector<Locator> locators_;  // per global id; valid while pending
+  /// Next global query id and variable: a single engine over the same
+  /// stream would allocate exactly these.
+  QueryId next_id_ = 0;
+  VarId next_var_ = 0;
+  std::unordered_map<QueryId, Locator> pending_;  ///< pending gid -> shard
   size_t since_last_eval_ = 0;
 
   RelationRouter router_;

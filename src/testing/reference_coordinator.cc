@@ -47,25 +47,17 @@ Result<QueryId> ReferenceCoordinator::Submit(const std::string& query_text) {
 Result<std::vector<QueryId>> ReferenceCoordinator::SubmitBatch(
     const std::vector<std::string>& query_texts) {
   CheckNotReentrant("SubmitBatch");
-  // All-or-nothing: validate the whole batch before admitting any of it.
-  {
-    QuerySet staging;
-    for (const std::string& text : query_texts) {
-      auto id = ParseQuery(text, &staging);
-      if (!id.ok()) {
-        ++stats_.rejected;
-        return id.status();
-      }
+  // All-or-nothing: parse the whole batch before admitting any of it.
+  QuerySet staging;
+  for (const std::string& text : query_texts) {
+    auto id = ParseQuery(text, &staging);
+    if (!id.ok()) {
+      ++stats_.rejected;
+      return id.status();
     }
   }
-  std::vector<QueryId> ids;
-  for (const std::string& text : query_texts) {
-    auto id = ParseQuery(text, &all_);
-    ENTANGLED_CHECK(id.ok()) << "validated batch re-parse failed: "
-                             << id.status().ToString();
-    Admit(*id);
-    ids.push_back(*id);
-  }
+  std::vector<QueryId> ids = all_.AdoptAll(staging);
+  for (QueryId id : ids) Admit(id);
   // Batch members do not tick the per-arrival cadence; one flush
   // evaluates the whole batch instead.
   if (evaluate_every_ > 0) {

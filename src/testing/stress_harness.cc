@@ -15,6 +15,7 @@
 #include "api/session.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/parser.h"
 #include "core/validator.h"
 #include "storage/durable_service.h"
 #include "storage/snapshot.h"
@@ -36,10 +37,44 @@ std::string IdsToString(const std::vector<QueryId>& ids) {
   return out.str();
 }
 
-std::string LogToString(const std::vector<StressDelivery>& log) {
+std::string LogToString(const std::vector<Delivery>& log) {
   std::ostringstream out;
-  for (const StressDelivery& d : log) out << IdsToString(d.queries) << " ";
+  for (const Delivery& d : log) out << IdsToString(d.QueryIds()) << " ";
   return out.str();
+}
+
+/// Empty when two deliveries agree on every field; otherwise names the
+/// first field that differs.
+std::string DeliveryDiff(const Delivery& a, const Delivery& b) {
+  if (a.sequence != b.sequence) return "sequence numbers";
+  if (a.QueryIds() != b.QueryIds()) return "coordinating sets";
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const DeliveredQuery& x = a.queries[i];
+    const DeliveredQuery& y = b.queries[i];
+    const std::string which = " of query " + std::to_string(x.id);
+    if (x.name != y.name) return "names" + which;
+    if (x.text != y.text) return "texts" + which;
+    if (x.answers != y.answers) return "grounded answers" + which;
+  }
+  if (a.witness != b.witness) return "witness assignments";
+  if (a.witness_names != b.witness_names) return "witness names";
+  return "";
+}
+
+/// The Definition-1 master for a replay: every submitted text parsed in
+/// submission order, which is exactly how a single engine allocates
+/// query ids and variables — so any service's deliveries validate
+/// against it, including the sharded front door, which keeps no master
+/// set.  Stops at the first text that fails to parse (the replay
+/// itself reports that rejection).
+QuerySet ParseSubmitted(const std::vector<WorkloadEvent>& events) {
+  QuerySet master;
+  for (const WorkloadEvent& event : events) {
+    for (const std::string& text : event.texts) {
+      if (!ParseQuery(text, &master).ok()) return master;
+    }
+  }
+  return master;
 }
 
 /// One configuration a scenario is replayed on: the from-scratch
@@ -93,71 +128,50 @@ std::vector<std::vector<QueryId>> PartitionByComponentOf(
   return components;
 }
 
-/// A constructed engine plus access to its master query set — the
-/// harness validates deliveries against Definition 1, which needs the
-/// original query structure the public event surface (deliberately)
-/// no longer exposes — and to its pending component partition.
-struct EngineInstance {
-  std::unique_ptr<CoordinationService> service;
-  std::function<const QuerySet&()> master;
-  std::function<std::vector<std::vector<QueryId>>()> components;
-};
-
-template <typename Service>
-EngineInstance Wrap(std::unique_ptr<Service> service) {
-  EngineInstance instance;
-  Service* raw = service.get();
-  instance.service = std::move(service);
-  instance.master = [raw]() -> const QuerySet& { return raw->queries(); };
-  instance.components = [raw] { return PartitionByComponentOf(*raw); };
-  return instance;
-}
-
-EngineInstance MakeEngine(const Database& db, const EngineVariant& variant) {
-  if (variant.reference) {
-    auto reference = std::make_unique<ReferenceCoordinator>(&db);
-    ReferenceCoordinator* raw = reference.get();
-    EngineInstance instance = Wrap(std::move(reference));
-    // One graph rebuild for the whole partition, not one per component.
-    instance.components = [raw] { return raw->Components(); };
-    return instance;
-  }
+std::unique_ptr<CoordinationService> MakeEngine(const Database& db,
+                                                const EngineVariant& variant) {
+  if (variant.reference) return std::make_unique<ReferenceCoordinator>(&db);
   if (variant.sharded) {
     ShardedEngineOptions options;
     options.engine = variant.engine;
     options.shard_threads = variant.shard_threads;
-    return Wrap(std::make_unique<ShardedCoordinationEngine>(&db, options));
+    return std::make_unique<ShardedCoordinationEngine>(&db, options);
   }
-  return Wrap(std::make_unique<CoordinationEngine>(&db, variant.engine));
+  return std::make_unique<CoordinationEngine>(&db, variant.engine);
 }
 
 /// Replays the event stream on one engine, validating every delivery
 /// against Definition 1 as it lands.
 StressReplay Replay(const Database& db, const EngineVariant& variant,
                     const std::vector<WorkloadEvent>& events) {
-  EngineInstance engine = MakeEngine(db, variant);
+  std::unique_ptr<CoordinationService> engine = MakeEngine(db, variant);
+  const QuerySet master = ParseSubmitted(events);
   StressReplay run;
-  engine.service->set_delivery_callback([&](const Delivery& delivery) {
+  engine->set_delivery_callback([&](const Delivery& delivery) {
     if (delivery.sequence != run.log.size() && run.error.empty()) {
       run.error = "delivery sequence " + std::to_string(delivery.sequence) +
                   " but " + std::to_string(run.log.size()) +
                   " deliveries observed before it";
     }
-    CoordinationSolution solution = SolutionFromDelivery(delivery);
-    Status valid = ValidateSolution(db, engine.master(), solution);
+    Status valid =
+        ValidateSolution(db, master, SolutionFromDelivery(delivery));
     if (!valid.ok() && run.error.empty()) {
-      run.error = "delivery " + IdsToString(solution.queries) +
+      run.error = "delivery " + IdsToString(delivery.QueryIds()) +
                   " failed Definition-1 validation: " + valid.ToString();
     }
-    run.log.push_back(StressDelivery{std::move(solution.queries),
-                                     std::move(solution.assignment)});
+    run.log.push_back(delivery);
   });
-  std::string replay_error = ReplayWorkloadEvents(engine.service.get(), events);
+  std::string replay_error = ReplayWorkloadEvents(engine.get(), events);
   if (!replay_error.empty() && run.error.empty()) run.error = replay_error;
-  run.final_pending = engine.service->PendingQueries();
-  run.pending_count = engine.service->num_pending();
-  run.components = engine.components();
-  run.stats = engine.service->StatsSnapshot();
+  run.final_pending = engine->PendingQueries();
+  run.pending_count = engine->num_pending();
+  // The oracle rebuilds its graph once for the whole partition, not
+  // once per component.
+  run.components =
+      variant.reference
+          ? static_cast<const ReferenceCoordinator&>(*engine).Components()
+          : PartitionByComponentOf(*engine);
+  run.stats = engine->StatsSnapshot();
   return run;
 }
 
@@ -169,24 +183,16 @@ StressReplay Replay(const Database& db, const EngineVariant& variant,
 /// One session event deep-copied at observation time, so the push
 /// stream and the PollEvents() drain can be compared byte for byte.
 struct ObservedEvent {
-  uint64_t sequence = 0;
-  std::vector<QueryId> set;  ///< the full coordinating set
-  Binding witness;
+  Delivery delivery;         ///< the whole coordinating set's event
   std::vector<QueryId> own;  ///< the observing session's slice
 };
 
 ObservedEvent ObserveEvent(const SessionEvent& event) {
-  ObservedEvent observed;
-  observed.sequence = event.delivery->sequence;
-  observed.set = event.delivery->QueryIds();
-  observed.witness = event.delivery->witness;
-  observed.own = event.own_queries;
-  return observed;
+  return ObservedEvent{*event.delivery, event.own_queries};
 }
 
 bool ObservedEqual(const ObservedEvent& a, const ObservedEvent& b) {
-  return a.sequence == b.sequence && a.set == b.set && a.own == b.own &&
-         a.witness == b.witness;
+  return a.own == b.own && DeliveryDiff(a.delivery, b.delivery).empty();
 }
 
 struct SessionReplayRun {
@@ -228,8 +234,8 @@ SessionReplayRun ReplayThroughSessions(const Database& db,
                                            SessionOptions{},
                                        QuotaObservations* quota = nullptr) {
   SessionReplayRun run;
-  EngineInstance engine = MakeEngine(db, variant);
-  SessionManager manager(engine.service.get());
+  std::unique_ptr<CoordinationService> engine = MakeEngine(db, variant);
+  SessionManager manager(engine.get());
   std::vector<ClientSession*> sessions;
   std::vector<std::vector<ObservedEvent>> pushed(session_count);
   sessions.reserve(session_count);
@@ -323,7 +329,7 @@ SessionReplayRun ReplayThroughSessions(const Database& db,
   // Drain every session and hold the two consumption modes to the same
   // stream, then merge the per-session views back into one delivery
   // log (sessions sharing a coordinating set observe the same event).
-  std::map<uint64_t, StressDelivery> merged;
+  std::map<uint64_t, Delivery> merged;
   std::unordered_set<QueryId> session_pending_union;
   for (size_t i = 0; i < session_count; ++i) {
     ClientSession* s = sessions[i];
@@ -352,12 +358,12 @@ SessionReplayRun ReplayThroughSessions(const Database& db,
              " received an event containing none of its queries");
         break;
       }
-      auto [it, inserted] = merged.emplace(
-          drained.sequence, StressDelivery{drained.set, drained.witness});
-      if (!inserted && (it->second.queries != drained.set ||
-                        !(it->second.assignment == drained.witness))) {
+      const uint64_t sequence = drained.delivery.sequence;
+      auto [it, inserted] = merged.emplace(sequence, drained.delivery);
+      if (!inserted && !DeliveryDiff(it->second, drained.delivery).empty()) {
         fail("sessions disagree about delivery sequence " +
-             std::to_string(drained.sequence));
+             std::to_string(sequence) + ": " +
+             DeliveryDiff(it->second, drained.delivery) + " differ");
         break;
       }
     }
@@ -417,9 +423,9 @@ std::string CheckInvariants(const std::string& label,
   }
   size_t delivered_queries = 0;
   std::unordered_set<QueryId> seen;
-  for (const StressDelivery& d : run.log) {
+  for (const Delivery& d : run.log) {
     delivered_queries += d.queries.size();
-    for (QueryId q : d.queries) {
+    for (QueryId q : d.QueryIds()) {
       if (!seen.insert(q).second) {
         return label + ": query " + std::to_string(q) +
                " delivered in two coordinating sets";
@@ -453,7 +459,8 @@ std::string CheckInvariants(const std::string& label,
   return "";
 }
 
-/// Byte-level differential: same sets, same order, same witnesses.
+/// Byte-level differential: the same deliveries, whole, in the same
+/// order.
 std::string CompareRuns(const std::string& a_label, const StressReplay& a,
                         const std::string& b_label, const StressReplay& b) {
   if (a.log.size() != b.log.size()) {
@@ -463,15 +470,16 @@ std::string CompareRuns(const std::string& a_label, const StressReplay& a,
            LogToString(a.log) + "\n  " + b_label + ": " + LogToString(b.log);
   }
   for (size_t i = 0; i < a.log.size(); ++i) {
-    if (a.log[i].queries != b.log[i].queries) {
+    const std::vector<QueryId> a_ids = a.log[i].QueryIds();
+    if (a_ids != b.log[i].QueryIds()) {
       return "delivery " + std::to_string(i) + " diverged: " + a_label +
-             " retired " + IdsToString(a.log[i].queries) + ", " + b_label +
-             " retired " + IdsToString(b.log[i].queries);
+             " retired " + IdsToString(a_ids) + ", " + b_label +
+             " retired " + IdsToString(b.log[i].QueryIds());
     }
-    if (a.log[i].assignment != b.log[i].assignment) {
-      return "delivery " + std::to_string(i) + " " +
-             IdsToString(a.log[i].queries) + ": witness assignments differ " +
-             "between " + a_label + " and " + b_label;
+    const std::string field = DeliveryDiff(a.log[i], b.log[i]);
+    if (!field.empty()) {
+      return "delivery " + std::to_string(i) + " " + IdsToString(a_ids) +
+             ": " + field + " differ between " + a_label + " and " + b_label;
     }
   }
   if (a.final_pending != b.final_pending) {
@@ -513,13 +521,13 @@ std::string ComparePartitions(const StressReplay& oracle,
 /// Order-insensitive canonical form of a delivery log, with ids mapped
 /// through `translate` (empty = identity).
 std::vector<std::vector<QueryId>> CanonicalSets(
-    const std::vector<StressDelivery>& log, const std::vector<QueryId>& translate) {
+    const std::vector<Delivery>& log, const std::vector<QueryId>& translate) {
   std::vector<std::vector<QueryId>> sets;
   sets.reserve(log.size());
-  for (const StressDelivery& d : log) {
+  for (const Delivery& d : log) {
     std::vector<QueryId> ids;
     ids.reserve(d.queries.size());
-    for (QueryId q : d.queries) {
+    for (QueryId q : d.QueryIds()) {
       ids.push_back(translate.empty() ? q
                                       : translate[static_cast<size_t>(q)]);
     }
@@ -614,15 +622,13 @@ StressReplay CrashRecoveryReplay(const Database& db,
                   " deliveries observed before it (sequences must resume "
                   "across recovery, not restart)";
     }
-    CoordinationSolution solution = SolutionFromDelivery(delivery);
-    run.log.push_back(StressDelivery{std::move(solution.queries),
-                                     std::move(solution.assignment)});
+    run.log.push_back(delivery);
   };
 
   uint64_t pre_cancelled = 0;
   {
-    EngineInstance inner = MakeEngine(db, variant);
-    auto durable = DurableCoordinationService::Create(inner.service.get(),
+    std::unique_ptr<CoordinationService> inner = MakeEngine(db, variant);
+    auto durable = DurableCoordinationService::Create(inner.get(),
                                                       &db, durability);
     if (!durable.ok()) {
       run.error = "crash: Create failed: " + durable.status().ToString();
@@ -663,8 +669,9 @@ StressReplay CrashRecoveryReplay(const Database& db,
     run.error = "crash: BuildDatabaseFromSnapshot failed: " + facts.ToString();
     return run;
   }
-  EngineInstance inner = MakeEngine(recovered_db, variant);
-  auto durable = DurableCoordinationService::Create(inner.service.get(),
+  std::unique_ptr<CoordinationService> inner =
+      MakeEngine(recovered_db, variant);
+  auto durable = DurableCoordinationService::Create(inner.get(),
                                                     &recovered_db, durability);
   if (!durable.ok()) {
     run.error = "crash: re-Create failed: " + durable.status().ToString();
@@ -1014,11 +1021,11 @@ std::string StressHarness::RunMetamorphic(
              std::to_string(variant.log.size());
     }
     for (size_t i = 0; i < base.log.size(); ++i) {
-      if (base.log[i].queries != variant.log[i].queries) {
+      if (base.log[i].QueryIds() != variant.log[i].QueryIds()) {
         return "metamorphic[row shuffle]: delivery " + std::to_string(i) +
                " changed under row shuffling: " +
-               IdsToString(base.log[i].queries) + " vs " +
-               IdsToString(variant.log[i].queries);
+               IdsToString(base.log[i].QueryIds()) + " vs " +
+               IdsToString(variant.log[i].QueryIds());
       }
     }
     if (base.final_pending != variant.final_pending) {
@@ -1057,14 +1064,14 @@ std::string StressHarness::RunMetamorphic(
              std::to_string(variant.log.size());
     }
     for (size_t i = 0; i < base.log.size(); ++i) {
-      if (base.log[i].queries != variant.log[i].queries) {
+      if (base.log[i].QueryIds() != variant.log[i].QueryIds()) {
         return "metamorphic[symbol renaming]: delivery " + std::to_string(i) +
                " changed under renaming: " +
-               IdsToString(base.log[i].queries) + " vs " +
-               IdsToString(variant.log[i].queries);
+               IdsToString(base.log[i].QueryIds()) + " vs " +
+               IdsToString(variant.log[i].QueryIds());
       }
-      const Binding& base_witness = base.log[i].assignment;
-      const Binding& renamed_witness = variant.log[i].assignment;
+      const Binding& base_witness = base.log[i].witness;
+      const Binding& renamed_witness = variant.log[i].witness;
       if (base_witness.size() != renamed_witness.size()) {
         return "metamorphic[symbol renaming]: witness arity changed at "
                "delivery " +

@@ -85,15 +85,11 @@ struct StressOptions {
   size_t crash_at_event = 0;
 };
 
-/// \brief One recorded delivery: engine ids plus the witness.
-struct StressDelivery {
-  std::vector<QueryId> queries;
-  Binding assignment;
-};
-
 /// \brief Everything one engine replay produced.
 struct StressReplay {
-  std::vector<StressDelivery> log;
+  /// Every delivery, whole: ids, names, texts, grounded answers,
+  /// witness and witness names are all compared across replays.
+  std::vector<Delivery> log;
   std::vector<QueryId> final_pending;
   size_t pending_count = 0;  ///< the engine's O(1) num_pending()
   /// The final pending set partitioned into weakly connected
@@ -129,7 +125,7 @@ struct StressReport {
 /// \brief Replays generated workloads against the incremental and
 /// sharded engines (per thread-count variant) and the from-scratch
 /// oracle (ReferenceCoordinator) at once, asserting identical
-/// coordinating sets in identical order with identical witnesses,
+/// deliveries in identical order (every field of every Delivery),
 /// identical final component partitions, Definition-1 validity of every
 /// delivery, and EngineStats invariants (e.g. coordinated_queries <=
 /// submitted - cancelled).  Scenarios that pass are additionally re-run through

@@ -1,5 +1,8 @@
 #include "core/parser.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace entangled {
@@ -157,6 +160,41 @@ TEST(ParserTest, ParseQueryRejectsMultiple) {
   auto result = ParseQuery("a: {} H(x) :- . b: {} H(y) :- .", &set);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+TEST(ParserTest, ParseQueryAllocatesWhatADirectParseWould) {
+  // ParseQuery parses into a staging set and adopts the result; the
+  // target must end up exactly as if each text were parsed into it.
+  const std::vector<std::string> texts = {
+      "a: { R(B, x) } R(A, x) :- F(x, y), G(y, _).",
+      "b: { } H(_, z, z) :- D(w, z), E(_).",
+      "c: { P(u), Q(v) } S(v, u) :- .",
+  };
+  QuerySet adopted;
+  QuerySet direct;
+  for (const std::string& text : texts) {
+    auto id = ParseQuery(text, &adopted);
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto ids = ParseQueries(text, &direct);
+    ASSERT_TRUE(ids.ok()) << ids.status();
+    EXPECT_EQ(*id, ids->front());
+  }
+  ASSERT_EQ(adopted.num_vars(), direct.num_vars());
+  for (VarId v = 0; v < static_cast<VarId>(direct.num_vars()); ++v) {
+    EXPECT_EQ(adopted.var_name(v), direct.var_name(v)) << v;
+  }
+  for (QueryId q = 0; q < static_cast<QueryId>(direct.size()); ++q) {
+    EXPECT_EQ(adopted.query(q).name, direct.query(q).name);
+    EXPECT_EQ(adopted.query(q).postconditions, direct.query(q).postconditions);
+    EXPECT_EQ(adopted.query(q).head, direct.query(q).head);
+    EXPECT_EQ(adopted.query(q).body, direct.query(q).body);
+    EXPECT_EQ(adopted.FindByName(direct.query(q).name), q);
+  }
+  // A rejected text leaves the target untouched.
+  EXPECT_FALSE(ParseQuery("d: { } H(x) :- D(x). e: { } H(y) :- .", &adopted)
+                   .ok());
+  EXPECT_EQ(adopted.size(), direct.size());
+  EXPECT_EQ(adopted.num_vars(), direct.num_vars());
 }
 
 TEST(ParserTest, RoundTripThroughPrinter) {

@@ -6,7 +6,8 @@
 // *resumed* rather than restarted — and the concatenated per-session
 // event streams must be byte-identical to an uninterrupted oracle run.
 // A second recovery of the already-recovered directory must read back
-// clean (double-recovery idempotence).
+// clean (double-recovery idempotence).  A directly driven service
+// checks every kind of id translation a recovery leaves behind.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -345,6 +347,168 @@ TEST_P(DurableRecoveryTest, DoubleRecoveryIsIdempotent) {
     // start empty.
     EXPECT_EQ(stack.a->num_buffered_events(), 0u) << "pass " << pass;
     EXPECT_EQ(stack.b->num_buffered_events(), 0u) << "pass " << pass;
+  }
+}
+
+/// A durable service driven directly (no sessions): fresh over an
+/// empty `dir`, or rehydrated from it.  Every forwarded delivery lands
+/// in `log`.
+struct DirectStack {
+  Database db;
+  std::unique_ptr<CoordinationService> inner;
+  std::unique_ptr<DurableCoordinationService> durable;
+};
+
+void OpenDirect(DirectStack* stack, bool sharded, const std::string& dir,
+                bool recover, std::vector<Delivery>* log) {
+  DurableState state;
+  if (recover) {
+    auto read = ReadDurableState(dir);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    state = std::move(*read);
+    ASSERT_TRUE(BuildDatabaseFromSnapshot(state.snapshot, &stack->db).ok());
+  } else {
+    FillFacts(&stack->db);
+  }
+  stack->inner = MakeInner(&stack->db, sharded);
+  DurabilityOptions durability;
+  durability.dir = dir;
+  durability.fsync = FsyncPolicy::kNone;
+  durability.initial_evaluate_every = 1;
+  auto durable = DurableCoordinationService::Create(stack->inner.get(),
+                                                    &stack->db, durability);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  stack->durable = std::move(*durable);
+  stack->durable->set_delivery_callback(
+      [log](const Delivery& delivery) { log->push_back(delivery); });
+  if (recover) {
+    Status recovered = stack->durable->Recover(std::move(state), nullptr);
+    ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+    EXPECT_EQ(stack->durable->recovery_report().anomalies, 0u);
+  }
+}
+
+/// A witness as printable (variable, value) pairs.
+std::vector<std::pair<VarId, std::string>> WitnessPairs(const Binding& w) {
+  std::vector<std::pair<VarId, std::string>> pairs;
+  w.ForEach([&pairs](VarId var, const Value& value) {
+    pairs.emplace_back(var, value.ToString(/*quote=*/true));
+  });
+  return pairs;
+}
+
+void ExpectUnknown(DurableCoordinationService* service, QueryId id) {
+  EXPECT_FALSE(service->IsPending(id)) << id;
+  EXPECT_TRUE(service->ComponentOf(id).empty()) << id;
+  EXPECT_FALSE(service->Cancel(id)) << id;
+}
+
+/// After a Recover() durable ids reach the inner service three ways:
+/// the recovered prefix (snapshot-pending queries, looked up), later
+/// admissions (one offset away), and ids this process never admitted.
+/// Cancel, IsPending and ComponentOf are called on each kind, then the
+/// service crashes and recovers again, and the whole delivery stream —
+/// ids, witness variables, names, answers — must equal an uninterrupted
+/// run's.
+TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
+  const bool sharded = GetParam();
+  auto run = [sharded](const std::string& dir, bool crash,
+                       std::vector<Delivery>* log,
+                       std::vector<QueryId>* pending) {
+    auto stack = std::make_unique<DirectStack>();
+    OpenDirect(stack.get(), sharded, dir, /*recover=*/false, log);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const char* text :
+         {"p0: { R(B, x) } R(A, x) :- Flights(x, Zurich).",
+          "s1: { R(Ghost, z) } R(S, z) :- Flights(z, Zurich).",
+          "p2: { R(D, u) } R(C, u) :- Flights(u, Zurich).",
+          "p3: { } R(D, v) :- Flights(v, Zurich).",  // delivers {2, 3}
+          "s4: { R(Ghost, w) } R(T, w) :- Flights(w, Geneva)."}) {
+      ASSERT_TRUE(stack->durable->Submit(text).ok()) << text;
+    }
+    // Snapshot pending {0, 1, 4}; the next admission rides the WAL tail.
+    ASSERT_TRUE(stack->durable->SnapshotNow().ok());
+    ASSERT_TRUE(stack->durable
+                    ->Submit("s5: { R(Ghost, t) } R(U, t) :- "
+                             "Flights(t, Zurich).")
+                    .ok());
+    if (crash) {
+      stack = std::make_unique<DirectStack>();
+      OpenDirect(stack.get(), sharded, dir, /*recover=*/true, log);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    DurableCoordinationService* service = stack->durable.get();
+    // (a) a recovered pending id.
+    EXPECT_TRUE(service->IsPending(1));
+    EXPECT_EQ(service->ComponentOf(1), (std::vector<QueryId>{1}));
+    EXPECT_TRUE(service->Cancel(1));
+    ExpectUnknown(service, 1);
+    // (b) ids delivered before the snapshot.
+    ExpectUnknown(service, 2);
+    ExpectUnknown(service, 3);
+    // (c) ids admitted after recovery, one joining a recovered query.
+    auto joined = service->Submit(
+        "j6: { R(T, q) } R(W, q) :- Flights(q, Geneva).");
+    ASSERT_TRUE(joined.ok());
+    EXPECT_EQ(*joined, 6);
+    EXPECT_TRUE(service->IsPending(6));
+    EXPECT_EQ(service->ComponentOf(6), (std::vector<QueryId>{4, 6}));
+    EXPECT_EQ(service->ComponentOf(4), (std::vector<QueryId>{4, 6}));
+    auto doomed = service->Submit(
+        "c7: { R(Nobody, k) } R(X, k) :- Flights(k, Zurich).");
+    ASSERT_TRUE(doomed.ok());
+    EXPECT_EQ(*doomed, 7);
+    EXPECT_TRUE(service->Cancel(7));
+    ExpectUnknown(service, 7);
+    // (d) ids never assigned.
+    ExpectUnknown(service, 8);
+    ExpectUnknown(service, 99);
+    ExpectUnknown(service, -1);
+    // Delivers {0, 8}: a recovered query with a post-recovery one.
+    ASSERT_TRUE(
+        service->Submit("p8: { } R(B, y) :- Flights(y, Zurich).").ok());
+    if (crash) {
+      stack = std::make_unique<DirectStack>();
+      OpenDirect(stack.get(), sharded, dir, /*recover=*/true, log);
+      if (::testing::Test::HasFatalFailure()) return;
+      service = stack->durable.get();
+    }
+    ExpectUnknown(service, 1);
+    EXPECT_EQ(service->ComponentOf(6), (std::vector<QueryId>{4, 6}));
+    // Coordinates with s5, recovered twice over.
+    ASSERT_TRUE(
+        service->Submit("p9: { } R(Ghost, g) :- Flights(g, Zurich).").ok());
+    *pending = service->PendingQueries();
+  };
+
+  TempDir oracle_dir;
+  std::vector<Delivery> oracle;
+  std::vector<QueryId> oracle_pending;
+  run(oracle_dir.path(), /*crash=*/false, &oracle, &oracle_pending);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  TempDir crash_dir;
+  std::vector<Delivery> crashed;
+  std::vector<QueryId> crashed_pending;
+  run(crash_dir.path(), /*crash=*/true, &crashed, &crashed_pending);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  std::vector<std::vector<QueryId>> sets;
+  for (const Delivery& delivery : oracle) sets.push_back(delivery.QueryIds());
+  EXPECT_EQ(sets, (std::vector<std::vector<QueryId>>{{2, 3}, {0, 8}, {5, 9}}));
+  EXPECT_EQ(oracle_pending, crashed_pending);
+  ASSERT_EQ(oracle.size(), crashed.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    const Delivery& a = oracle[i];
+    const Delivery& b = crashed[i];
+    EXPECT_EQ(a.sequence, b.sequence) << i;
+    EXPECT_EQ(a.QueryIds(), b.QueryIds()) << i;
+    EXPECT_EQ(WitnessPairs(a.witness), WitnessPairs(b.witness)) << i;
+    EXPECT_EQ(a.witness_names, b.witness_names) << i;
+    ASSERT_EQ(a.queries.size(), b.queries.size()) << i;
+    for (size_t j = 0; j < a.queries.size(); ++j) {
+      EXPECT_EQ(a.queries[j].name, b.queries[j].name) << i;
+      EXPECT_EQ(a.queries[j].answers, b.queries[j].answers) << i;
+    }
   }
 }
 

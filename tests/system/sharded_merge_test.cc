@@ -2,12 +2,14 @@
 // (system/sharded_engine.h): differential k-way merges over streams
 // whose global ids interleave across shards — held byte-identical to a
 // single CoordinationEngine — plus memoized component state surviving
-// a merge in the surviving shard (eval_cache_hits), and
+// a merge in the surviving shard (eval_cache_hits), survivor deliveries
+// translated whole into global ids and variables, and
 // bridge-then-cancel churn that recycles freed shard slots.
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,6 +167,83 @@ TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
   }
 }
 
+/// A delivery carved from a survivor shard after a small-into-large
+/// merge mixes native and migrated queries, whose local variables are
+/// no longer in global order.  The translated Delivery must still list
+/// witness_names ascending and aligned with the witness, name only
+/// global variables, and equal the single engine's event field by field.
+TEST_F(ShardedMergeTest, SurvivorDeliveryIsTranslatedWhole) {
+  const std::vector<std::string> texts = {
+      Stuck("S", "T0"),
+      "r: { R(Bob, x) } R(Alice, x) :- Users(x, 'user3').",  // shard R
+      "s: { S(Bob, y) } S(Alice, y) :- Users(y, 'user3').",  // shard S
+      Stuck("S", "T1"),
+      // Merges the light R shard into S, then coordinates with r and s:
+      // in S, r's migrated variable now sits above s's native one.
+      "br: { R(Alice, z), S(Alice, z) } R(Bob, z), S(Bob, z) :- "
+      "Users(z, 'user3').",
+  };
+  auto run = [&texts](CoordinationService* engine) {
+    std::vector<Delivery> log;
+    engine->set_delivery_callback(
+        [&log](const Delivery& delivery) { log.push_back(delivery); });
+    for (const std::string& text : texts) {
+      EXPECT_TRUE(engine->Submit(text).ok()) << text;
+    }
+    return log;
+  };
+  CoordinationEngine single(&db_);
+  const std::vector<Delivery> expected = run(&single);
+  for (size_t shard_threads : {size_t{1}, size_t{4}}) {
+    ShardedEngineOptions options;
+    options.shard_threads = shard_threads;
+    ShardedCoordinationEngine sharded(&db_, options);
+    const std::vector<Delivery> got = run(&sharded);
+    const std::string which = "threads=" + std::to_string(shard_threads);
+    ASSERT_EQ(sharded.sharded_stats().queries_migrated, 1u) << which;
+    ASSERT_EQ(expected.size(), 1u);
+    ASSERT_EQ(got.size(), 1u) << which;
+    const Delivery& d = got.front();
+    EXPECT_EQ(d.QueryIds(), (std::vector<QueryId>{1, 2, 4})) << which;
+
+    std::vector<std::pair<VarId, std::string>> witness;
+    std::vector<VarId> witness_vars;
+    d.witness.ForEach([&](VarId var, const Value& value) {
+      witness.emplace_back(var, value.ToString(/*quote=*/true));
+      witness_vars.push_back(var);
+    });
+    std::vector<VarId> named_vars;
+    for (const auto& [var, name] : d.witness_names) named_vars.push_back(var);
+    EXPECT_TRUE(std::is_sorted(named_vars.begin(), named_vars.end()))
+        << which;
+    EXPECT_EQ(named_vars, witness_vars) << which;
+    for (const DeliveredQuery& q : d.queries) {
+      for (const Atom& answer : q.answers) {
+        for (const Term& term : answer.terms) {
+          EXPECT_TRUE(term.is_constant() || d.witness.Find(term.var()))
+              << which << " " << answer.ToString();
+        }
+      }
+    }
+
+    const Delivery& e = expected.front();
+    std::vector<std::pair<VarId, std::string>> expected_witness;
+    e.witness.ForEach([&](VarId var, const Value& value) {
+      expected_witness.emplace_back(var, value.ToString(/*quote=*/true));
+    });
+    EXPECT_EQ(witness, expected_witness) << which;
+    EXPECT_EQ(d.sequence, e.sequence) << which;
+    ASSERT_EQ(d.queries.size(), e.queries.size()) << which;
+    for (size_t i = 0; i < d.queries.size(); ++i) {
+      EXPECT_EQ(d.queries[i].id, e.queries[i].id) << which;
+      EXPECT_EQ(d.queries[i].name, e.queries[i].name) << which;
+      EXPECT_EQ(d.queries[i].text, e.queries[i].text) << which;
+      EXPECT_EQ(d.queries[i].answers, e.queries[i].answers) << which;
+    }
+    EXPECT_EQ(d.witness_names, e.witness_names) << which;
+  }
+}
+
 /// Memo retention: the surviving shard's evaluated-component state
 /// (EvalMemo sweep verdicts) must survive a merge, so post-merge
 /// re-evaluation of an extended survivor component serves sweep steps
@@ -201,9 +280,8 @@ TEST_F(ShardedMergeTest, SurvivorKeepsMemoizedComponentStateAcrossMerge) {
 }
 
 /// Bridge-then-cancel churn: merges followed by cancels drain shards,
-/// free their slots, and the next wave reuses them.  Stale locators
-/// naming recycled slots must never leak into lookups, and the slot
-/// table must stay bounded by the live width, not the churn count.
+/// free their slots, and the next wave reuses them.  The slot table
+/// must stay bounded by the live width, not the churn count.
 TEST_F(ShardedMergeTest, BridgeThenCancelChurnRecyclesSlots)  {
   ShardedCoordinationEngine engine(&db_);
   engine.set_evaluate_every(0);

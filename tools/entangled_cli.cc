@@ -339,9 +339,9 @@ std::vector<std::string> QueryTexts(const QuerySet& queries) {
   return texts;
 }
 
-/// Re-validates a delivered event against Definition 1 using the
-/// engine's master set; returns false (printing the failure) on a
-/// solver bug.
+/// Re-validates a delivered event against Definition 1 using `master`,
+/// a query set in the service's id and variable namespace; returns
+/// false (printing the failure) on a solver bug.
 bool ValidateDelivered(const Database& db, const QuerySet& master,
                        const Delivery& delivery) {
   if (Status valid = ValidateSolution(db, master, SolutionFromDelivery(delivery));
@@ -514,23 +514,19 @@ int RunCoordinate(const CliOptions& options, const Database& db,
 
 int RunSessions(const CliOptions& options, const Database& db,
                 QuerySet& queries) {
+  // Deliveries are validated against the input set: every text below
+  // is submitted in input order and any rejection exits, so service ids
+  // are the input ids.
   std::unique_ptr<CoordinationService> service;
-  std::function<const QuerySet&()> master;
   if (options.sharded) {
     ShardedEngineOptions sharded_options;
     sharded_options.engine.evaluate_every = options.evaluate_every;
-    auto engine =
-        std::make_unique<ShardedCoordinationEngine>(&db, sharded_options);
-    auto* raw = engine.get();
-    master = [raw]() -> const QuerySet& { return raw->queries(); };
-    service = std::move(engine);
+    service = std::make_unique<ShardedCoordinationEngine>(&db,
+                                                          sharded_options);
   } else {
     EngineOptions engine_options;
     engine_options.evaluate_every = options.evaluate_every;
-    auto engine = std::make_unique<CoordinationEngine>(&db, engine_options);
-    auto* raw = engine.get();
-    master = [raw]() -> const QuerySet& { return raw->queries(); };
-    service = std::move(engine);
+    service = std::make_unique<CoordinationEngine>(&db, engine_options);
   }
 
   std::unique_ptr<DurableCoordinationService> recorder;
@@ -570,7 +566,7 @@ int RunSessions(const CliOptions& options, const Database& db,
                 << session->label() << ") ==\n";
     }
     for (const SessionEvent& event : events) {
-      if (!ValidateDelivered(db, master(), *event.delivery)) return 1;
+      if (!ValidateDelivered(db, queries, *event.delivery)) return 1;
       ++delivered_events;
       PrintDelivery(*event.delivery, options.quiet);
     }
@@ -589,7 +585,7 @@ int RunSessions(const CliOptions& options, const Database& db,
       const std::vector<QueryId> pending = session->PendingQueries();
       for (size_t i = 0; i < pending.size(); ++i) {
         std::cout << (i == 0 ? "" : ", ")
-                  << master().query(pending[i]).name;
+                  << queries.query(pending[i]).name;
       }
       std::cout << ")";
     }
