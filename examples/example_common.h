@@ -103,8 +103,10 @@ class ExampleFrontDoor {
             std::cout << "    answer: " << answer << "\n";
           }
         }
-        if (Status valid = ValidateSolution(
-                *db_, engine_->queries(), SolutionFromDelivery(delivery));
+        auto solution = SolutionFromDelivery(engine_->queries(), delivery);
+        if (!solution.ok()) return solution.status();
+        if (Status valid =
+                ValidateSolution(*db_, engine_->queries(), *solution);
             !valid.ok()) {
           return valid;
         }

@@ -32,19 +32,37 @@ std::string Delivery::ToString() const {
     }
   }
   out << "  witness: {";
-  for (size_t i = 0; i < witness_names.size(); ++i) {
-    const auto& [var, name] = witness_names[i];
-    out << (i == 0 ? "" : ", ") << name << " = "
-        << witness.at(var).ToString(/*quote=*/true);
+  const char* separator = "";
+  for (const DeliveredQuery& q : queries) {
+    for (const auto& [name, value] : q.witness) {
+      out << separator << q.name << "." << name << " = "
+          << value.ToString(/*quote=*/true);
+      separator = ", ";
+    }
   }
   out << "}";
   return out.str();
 }
 
-CoordinationSolution SolutionFromDelivery(const Delivery& delivery) {
+Result<CoordinationSolution> SolutionFromDelivery(const QuerySet& master,
+                                                  const Delivery& delivery) {
   CoordinationSolution solution;
   solution.queries = delivery.QueryIds();
-  solution.assignment = delivery.witness;
+  for (const DeliveredQuery& q : delivery.queries) {
+    if (q.id < 0 || static_cast<size_t>(q.id) >= master.size()) {
+      return Status::InvalidArgument("delivered query ", q.id,
+                                     " is not in the master set");
+    }
+    const std::vector<VarId> vars = master.query(q.id).Variables();
+    if (vars.size() != q.witness.size()) {
+      return Status::InvalidArgument(
+          "delivered query ", q.id, " carries ", q.witness.size(),
+          " witness entries for ", vars.size(), " variables");
+    }
+    for (size_t k = 0; k < vars.size(); ++k) {
+      solution.assignment.emplace(vars[k], q.witness[k].second);
+    }
+  }
   return solution;
 }
 
@@ -60,37 +78,21 @@ Delivery MakeDelivery(const QuerySet& set,
     q.name = set.query(id).name;
     q.text = set.QueryToString(id);
     q.answers = solution.GroundedHeads(set, id);
+    const std::vector<VarId> vars = set.query(id).Variables();
+    q.witness.reserve(vars.size());
+    for (VarId var : vars) {
+      q.witness.emplace_back(set.var_name(var), solution.assignment.at(var));
+    }
     delivery.queries.push_back(std::move(q));
   }
-  delivery.witness = solution.assignment;
-  delivery.witness_names.reserve(delivery.witness.size());
-  delivery.witness.ForEach([&](VarId var, const Value&) {
-    delivery.witness_names.emplace_back(var, set.var_name(var));
-  });
   return delivery;
 }
 
 void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
-                       const std::function<VarId(VarId)>& var_of,
                        Delivery* delivery) {
-  for (DeliveredQuery& q : delivery->queries) {
-    q.id = query_of(q.id);
-    for (Atom& atom : q.answers) {
-      for (Term& term : atom.terms) {
-        if (term.is_variable()) term = Term::Var(var_of(term.var()));
-      }
-    }
-  }
+  for (DeliveredQuery& q : delivery->queries) q.id = query_of(q.id);
   std::sort(delivery->queries.begin(), delivery->queries.end(),
             [](const auto& a, const auto& b) { return a.id < b.id; });
-  Binding witness;
-  delivery->witness.ForEach([&](VarId var, const Value& value) {
-    witness.emplace(var_of(var), value);
-  });
-  delivery->witness = std::move(witness);
-  for (auto& [var, name] : delivery->witness_names) var = var_of(var);
-  std::sort(delivery->witness_names.begin(), delivery->witness_names.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 }  // namespace entangled

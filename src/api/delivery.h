@@ -7,10 +7,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "core/grounding.h"
 #include "core/query.h"
 #include "db/atom.h"
-#include "db/binding.h"
+#include "db/value.h"
 
 namespace entangled {
 
@@ -23,6 +24,12 @@ struct DeliveredQuery {
   /// The grounded head atoms under the witness — the "answers" returned
   /// to the user (e.g. R(101, 'Gwyneth') carries the chosen flight id).
   std::vector<Atom> answers;
+  /// This participant's part of the Definition-1 witness h: one
+  /// (display name, value) entry per variable of the query, in
+  /// first-occurrence order over (postconditions, head, body) — the
+  /// order the parser allocates them in and EntangledQuery::Variables
+  /// lists them in.  A wildcard `_` appears under its `_N` name.
+  std::vector<std::pair<std::string, Value>> witness;
 };
 
 /// \brief A self-contained delivery event: one coordinating set, with
@@ -31,10 +38,10 @@ struct DeliveredQuery {
 /// This is the only thing the coordination services hand to the outside
 /// world.  Unlike the old `(const QuerySet&, const CoordinationSolution&)`
 /// callback signature, a Delivery holds no references into the engine:
-/// query texts, display names, grounded answers, the witness values, and
-/// the witness variables' display names are all copied out at delivery
-/// time.  A captured Delivery therefore stays valid after any subsequent
-/// Cancel/Flush/shard migration — there is nothing left to dangle.
+/// query texts, display names, grounded answers and each participant's
+/// witness are all copied out at delivery time.  A captured Delivery
+/// therefore stays valid after any subsequent Cancel/Flush/shard
+/// migration — there is nothing left to dangle.
 ///
 /// (`Value` strings are interned in the process-wide GlobalValueInterner,
 /// whose storage is append-only and stable for the process lifetime, so
@@ -49,50 +56,43 @@ struct Delivery {
   /// The coordinating set, ascending by id.
   std::vector<DeliveredQuery> queries;
 
-  /// The Definition-1 witness h, keyed by service-global variable ids.
-  /// Values are owned PODs; iteration (Binding::ForEach) is ascending.
-  Binding witness;
-
-  /// Display name of every bound witness variable, ascending by
-  /// variable id (aligned with `witness`'s iteration order).
-  std::vector<std::pair<VarId, std::string>> witness_names;
-
   /// The participant ids, ascending (the old `solution.queries`).
   std::vector<QueryId> QueryIds() const;
 
   /// The participant with the given id, or nullptr.
   const DeliveredQuery* Find(QueryId id) const;
 
-  /// Human-readable multi-line rendering (one line per participant plus
-  /// the witness).
+  /// Human-readable multi-line rendering: the participants, one line
+  /// per answer, and the witness with each entry qualified by its
+  /// participant's name ("a.x = 101").
   std::string ToString() const;
 };
 
 /// \brief Materializes a Delivery from an engine-internal solution:
 /// copies out names and texts from `set`, grounds every participant's
-/// head atoms under the witness, and records the witness variables'
-/// display names.  `solution` must use `set`'s id and variable
-/// namespaces (the services translate shard-local solutions to global
-/// ids before calling this).
+/// head atoms under the witness, and records each participant's
+/// witness entries.  `solution` must use `set`'s id and variable
+/// namespaces.
 Delivery MakeDelivery(const QuerySet& set,
                       const CoordinationSolution& solution,
                       uint64_t sequence);
 
-/// \brief Rewrites a Delivery from one id/variable namespace into
-/// another — a shard's local space into the front door's global one,
-/// or a recovered engine's into the durable one: every participant id
-/// through `query_of`, and every variable (in answer atoms, the witness
-/// and `witness_names`) through `var_of`.  Neither map has to be
-/// monotone, so participants and `witness_names` are re-sorted to keep
-/// the ascending order a Delivery promises.
+/// \brief Rewrites a Delivery's participant ids into another id
+/// namespace — a shard's local ids into the front door's global ones,
+/// or a recovered engine's into the durable ones.  The map need not be
+/// monotone, so participants are re-sorted to keep the ascending order
+/// a Delivery promises.
 void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
-                       const std::function<VarId(VarId)>& var_of,
                        Delivery* delivery);
 
-/// \brief MakeDelivery's inverse view: the engine-facing (ids +
-/// witness) form of a delivery — what Definition-1 re-validation
-/// (ValidateSolution against the service's master set) consumes.
-CoordinationSolution SolutionFromDelivery(const Delivery& delivery);
+/// \brief MakeDelivery's inverse view: the (ids + witness) form of a
+/// delivery in `master`'s variable namespace — what Definition-1
+/// re-validation (ValidateSolution against `master`) consumes.  Entry k
+/// of participant q binds `master.query(q).Variables()[k]`.  An unknown
+/// participant id or a witness whose entry count differs from the
+/// query's variable count is an InvalidArgument error.
+Result<CoordinationSolution> SolutionFromDelivery(const QuerySet& master,
+                                                  const Delivery& delivery);
 
 }  // namespace entangled
 

@@ -143,16 +143,20 @@ std::vector<QueryId> QuerySet::AdoptQueries(
   return adopted;
 }
 
-std::vector<QueryId> QuerySet::AdoptAll(
-    const QuerySet& src, std::vector<std::pair<VarId, VarId>>* var_map) {
+std::vector<QueryId> QuerySet::AdoptAll(const QuerySet& src) {
   std::vector<QueryId> ids(src.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<QueryId>(i);
-  return AdoptQueries(src, ids, var_map);
+  return AdoptQueries(src, ids);
 }
 
 std::string QuerySet::TermToString(const Term& term) const {
   if (term.is_constant()) return term.constant().ToString(/*quote=*/true);
-  return var_name(term.var());
+  const std::string& name = var_name(term.var());
+  // The parser names each `_` wildcard `_0`, `_1`, ...; printed back as
+  // `_N` it would re-parse as a string constant.  Each wildcard occurs
+  // once, so a bare `_` (a fresh variable per occurrence) round-trips.
+  if (!name.empty() && name[0] == '_') return "_";
+  return name;
 }
 
 std::string QuerySet::AtomToString(const Atom& atom) const {

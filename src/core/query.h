@@ -109,16 +109,14 @@ class QuerySet {
       std::vector<std::pair<VarId, VarId>>* var_map = nullptr);
 
   /// Whole-set form of AdoptQueries: appends copies of *every* query of
-  /// `src` in id order, sharing one variable remap across the whole
-  /// call.  This is the bulk half of the migration round-trip — a shard
-  /// merge adopts an entire PendingExtract in one pass instead of one
-  /// AdoptQueries call (and one remap map) per query.
-  std::vector<QueryId> AdoptAll(
-      const QuerySet& src,
-      std::vector<std::pair<VarId, VarId>>* var_map = nullptr);
+  /// `src` in id order — how a parsed staging set (a batch, or
+  /// ParseQuery's one query) lands in its target.
+  std::vector<QueryId> AdoptAll(const QuerySet& src);
 
   /// Renders a term/atom/query with variable display names
-  /// ("R('C', x1)" instead of "R('C', ?3)").
+  /// ("R('C', x1)" instead of "R('C', ?3)"); a variable whose name
+  /// starts with `_` (the parser's wildcards) renders as `_`, so it
+  /// re-parses as a fresh variable rather than a string constant.
   std::string TermToString(const Term& term) const;
   std::string AtomToString(const Atom& atom) const;
   std::string AtomListToString(const std::vector<Atom>& atoms,

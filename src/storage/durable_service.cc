@@ -12,14 +12,10 @@ namespace {
 
 /// Per-text parse into a throwaway set: the admission check the
 /// decorator runs *before* logging, so invalid texts are rejected here
-/// and never reach the log or the inner service.  Returns the distinct
-/// variable count on success (the arithmetic the durable variable map
-/// extends by).
-Result<size_t> ValidateText(const std::string& text) {
+/// and never reach the log or the inner service.
+Status ValidateText(const std::string& text) {
   QuerySet scratch;
-  auto parsed = ParseQuery(text, &scratch);
-  if (!parsed.ok()) return parsed.status();
-  return scratch.num_vars();
+  return ParseQuery(text, &scratch).status();
 }
 
 }  // namespace
@@ -173,21 +169,17 @@ Status DurableCoordinationService::LogRecord(const WalRecord& record) {
 }
 
 QueryId DurableCoordinationService::AdmitNext(int64_t session,
-                                              const std::string& text,
-                                              size_t var_count) {
+                                              const std::string& text) {
   const int64_t durable_id = next_durable_id_++;
-  live_[durable_id] = LiveQuery{session, next_durable_var_,
-                                static_cast<uint32_t>(var_count), text};
-  next_durable_var_ += static_cast<int64_t>(var_count);
+  live_[durable_id] = LiveQuery{session, text};
   return static_cast<QueryId>(durable_id - id_offset_);
 }
 
 void DurableCoordinationService::ForwardSubmit(int64_t session,
-                                               const std::string& text,
-                                               size_t var_count) {
+                                               const std::string& text) {
   // Both namespaces allocate in admission order, so the inner id is
   // known ahead of time — and checked after.
-  const QueryId expected = AdmitNext(session, text, var_count);
+  const QueryId expected = AdmitNext(session, text);
   auto inner_id = inner_->Submit(text);
   ENTANGLED_CHECK(inner_id.ok())
       << "validated submit rejected by the inner service: "
@@ -198,12 +190,11 @@ void DurableCoordinationService::ForwardSubmit(int64_t session,
 }
 
 void DurableCoordinationService::ForwardBatch(
-    int64_t session, const std::vector<std::string>& texts,
-    const std::vector<size_t>& var_counts) {
+    int64_t session, const std::vector<std::string>& texts) {
   std::vector<QueryId> expected;
   expected.reserve(texts.size());
-  for (size_t i = 0; i < texts.size(); ++i) {
-    expected.push_back(AdmitNext(session, texts[i], var_counts[i]));
+  for (const std::string& text : texts) {
+    expected.push_back(AdmitNext(session, text));
   }
   auto inner_ids = inner_->SubmitBatch(texts);
   ENTANGLED_CHECK(inner_ids.ok())
@@ -218,26 +209,9 @@ void DurableCoordinationService::ForwardBatch(
 
 QueryId DurableCoordinationService::DurableId(QueryId inner) const {
   if (static_cast<size_t>(inner) < recovered_.size()) {
-    return static_cast<QueryId>(
-        recovered_[static_cast<size_t>(inner)].durable_id);
+    return static_cast<QueryId>(recovered_[static_cast<size_t>(inner)]);
   }
   return static_cast<QueryId>(inner + id_offset_);
-}
-
-VarId DurableCoordinationService::DurableVar(VarId inner) const {
-  if (inner >= recovered_vars_) {
-    return static_cast<VarId>(inner + var_offset_);
-  }
-  // The prefix query whose variables cover `inner`: the last one whose
-  // block starts at or below it (a query may own no variables).
-  auto it = std::upper_bound(
-      recovered_.begin(), recovered_.end(), static_cast<int64_t>(inner),
-      [](int64_t var, const RecoveredQuery& q) {
-        return var < q.inner_var_start;
-      });
-  --it;
-  return static_cast<VarId>(it->durable_var_start +
-                            (inner - it->inner_var_start));
 }
 
 QueryId DurableCoordinationService::InnerId(int64_t id) const {
@@ -248,12 +222,8 @@ QueryId DurableCoordinationService::InnerId(int64_t id) const {
   }
   // Below the offset only the recovered prefix is known here: other ids
   // were delivered or cancelled before the snapshot.
-  auto it = std::lower_bound(
-      recovered_.begin(), recovered_.end(), id,
-      [](const RecoveredQuery& q, int64_t durable) {
-        return q.durable_id < durable;
-      });
-  if (it == recovered_.end() || it->durable_id != id) return -1;
+  auto it = std::lower_bound(recovered_.begin(), recovered_.end(), id);
+  if (it == recovered_.end() || *it != id) return -1;
   return static_cast<QueryId>(it - recovered_.begin());
 }
 
@@ -275,16 +245,15 @@ void DurableCoordinationService::MaybeAutoSnapshot() {
 // ----- delivery rewrite -----------------------------------------------------
 
 void DurableCoordinationService::OnInnerDelivery(const Delivery& delivery) {
-  // A process that never recovered shares the inner namespaces and
-  // sequence numbering, so the delivery forwards as it is.
+  // A process that never recovered shares the inner ids and sequence
+  // numbering, so the delivery forwards as it is.
   Delivery translated;
-  const bool identity = recovered_.empty() && id_offset_ == 0 &&
-                        var_offset_ == 0 && sequence_offset_ == 0;
+  const bool identity =
+      recovered_.empty() && id_offset_ == 0 && sequence_offset_ == 0;
   if (!identity) {
     translated = delivery;
     translated.sequence += sequence_offset_;
     TranslateDelivery([this](QueryId inner) { return DurableId(inner); },
-                      [this](VarId inner) { return DurableVar(inner); },
                       &translated);
   }
   const Delivery& out = identity ? delivery : translated;
@@ -324,10 +293,9 @@ void DurableCoordinationService::OnInnerDelivery(const Delivery& delivery) {
 Result<QueryId> DurableCoordinationService::Submit(
     const std::string& query_text) {
   ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  auto var_count = ValidateText(query_text);
-  if (!var_count.ok()) {
+  if (Status valid = ValidateText(query_text); !valid.ok()) {
     ++rejected_;
-    return var_count.status();
+    return valid;
   }
   const int64_t durable_id = next_durable_id_;
   WalRecord record;
@@ -337,7 +305,7 @@ Result<QueryId> DurableCoordinationService::Submit(
   record.text = query_text;
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardSubmit(record.session, query_text, *var_count);
+  ForwardSubmit(record.session, query_text);
   MaybeAutoSnapshot();
   return static_cast<QueryId>(durable_id);
 }
@@ -345,15 +313,11 @@ Result<QueryId> DurableCoordinationService::Submit(
 Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
     const std::vector<std::string>& query_texts) {
   ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  std::vector<size_t> var_counts;
-  var_counts.reserve(query_texts.size());
   for (const std::string& text : query_texts) {
-    auto var_count = ValidateText(text);
-    if (!var_count.ok()) {
+    if (Status valid = ValidateText(text); !valid.ok()) {
       ++rejected_;  // all-or-nothing: one rejection per refused batch
-      return var_count.status();
+      return valid;
     }
-    var_counts.push_back(*var_count);
   }
   WalRecord record;
   record.kind = WalRecord::Kind::kSubmitBatch;
@@ -365,7 +329,7 @@ Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
   }
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardBatch(record.session, query_texts, var_counts);
+  ForwardBatch(record.session, query_texts);
   MaybeAutoSnapshot();
   std::vector<QueryId> ids;
   ids.reserve(record.batch.size());
@@ -442,8 +406,9 @@ bool DurableCoordinationService::IsPending(QueryId id) const {
 
 std::vector<QueryId> DurableCoordinationService::ComponentOf(
     QueryId id) const {
-  if (!IsPending(id)) return {};
-  std::vector<QueryId> component = inner_->ComponentOf(InnerId(id));
+  const QueryId inner_id = InnerId(id);
+  if (inner_id < 0) return {};
+  std::vector<QueryId> component = inner_->ComponentOf(inner_id);
   for (QueryId& member : component) member = DurableId(member);
   return component;
 }
@@ -486,7 +451,6 @@ Status DurableCoordinationService::RotateWithSnapshot(uint64_t new_epoch) {
   SnapshotState state;
   state.epoch = new_epoch;
   state.next_durable_id = next_durable_id_;
-  state.next_durable_var = next_durable_var_;
   state.next_sequence = delivered_next_;
   state.evaluate_every = evaluate_every_;
   state.cadence_phase = cadence_phase_;
@@ -497,8 +461,6 @@ Status DurableCoordinationService::RotateWithSnapshot(uint64_t new_epoch) {
     SnapshotPendingQuery pending;
     pending.id = durable_id;
     pending.session = live.session;
-    pending.var_start = live.var_start;
-    pending.var_count = live.var_count;
     pending.text = live.text;
     state.pending.push_back(std::move(pending));
   }
@@ -529,8 +491,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                                SessionManager* sessions) {
   switch (record.kind) {
     case WalRecord::Kind::kSubmit: {
-      auto var_count = ValidateText(record.text);
-      if (!var_count.ok() || record.id != next_durable_id_) {
+      if (!ValidateText(record.text).ok() || record.id != next_durable_id_) {
         ++report_.anomalies;
         return;
       }
@@ -543,7 +504,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
       // Replay runs at the recorded cadence, so the call itself can
       // deliver.  A validated text cannot be refused by the inner
       // service, hence a CHECK rather than an anomaly.
-      ForwardSubmit(record.session, record.text, *var_count);
+      ForwardSubmit(record.session, record.text);
       // Second adoption pass marks the query session-pending now that
       // the service can answer IsPending for it.
       if (sessions != nullptr && record.session >= 0) {
@@ -554,19 +515,15 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
     }
     case WalRecord::Kind::kSubmitBatch: {
       std::vector<std::string> texts;
-      std::vector<size_t> var_counts;
       texts.reserve(record.batch.size());
-      var_counts.reserve(record.batch.size());
       int64_t expected = next_durable_id_;
       for (const auto& [durable_id, text] : record.batch) {
-        auto var_count = ValidateText(text);
-        if (!var_count.ok() || durable_id != expected) {
+        if (!ValidateText(text).ok() || durable_id != expected) {
           ++report_.anomalies;
           return;
         }
         ++expected;
         texts.push_back(text);
-        var_counts.push_back(*var_count);
       }
       if (sessions != nullptr && record.session >= 0) {
         for (const auto& [durable_id, text] : record.batch) {
@@ -574,7 +531,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                    static_cast<QueryId>(durable_id));
         }
       }
-      ForwardBatch(record.session, texts, var_counts);
+      ForwardBatch(record.session, texts);
       if (sessions != nullptr && record.session >= 0) {
         for (const auto& [durable_id, text] : record.batch) {
           sessions->AdoptRecovered(record.session,
@@ -621,7 +578,6 @@ Status DurableCoordinationService::Recover(DurableState state,
 
   // Counters resume where the snapshot left them.
   next_durable_id_ = state.snapshot.next_durable_id;
-  next_durable_var_ = state.snapshot.next_durable_var;
   sequence_offset_ = state.snapshot.next_sequence;
   delivered_next_ = state.snapshot.next_sequence;
   evaluate_every_ = static_cast<size_t>(state.snapshot.evaluate_every);
@@ -642,8 +598,7 @@ Status DurableCoordinationService::Recover(DurableState state,
   // either; their admission-time evaluations already ran before the
   // snapshot and found nothing, or they would not be pending).  They
   // become inner ids [0, P) in ascending durable order — the recovered
-  // prefix — and every later admission lands past it in both
-  // namespaces, one offset away.
+  // prefix — and every later admission lands one offset past it.
   id_offset_ = next_durable_id_ -
                static_cast<int64_t>(state.snapshot.pending.size());
   auto abort = [this](const std::string& message) {
@@ -654,33 +609,25 @@ Status DurableCoordinationService::Recover(DurableState state,
   inner_->set_evaluate_every(0);
   for (const SnapshotPendingQuery& pending : state.snapshot.pending) {
     if (pending.id >= next_durable_id_ ||
-        (!recovered_.empty() && pending.id <= recovered_.back().durable_id)) {
+        (!recovered_.empty() && pending.id <= recovered_.back())) {
       return abort("snapshot pending query " + std::to_string(pending.id) +
                    " is out of order");
     }
-    auto var_count = ValidateText(pending.text);
-    if (!var_count.ok() || *var_count != pending.var_count) {
-      return abort("snapshot pending query " + std::to_string(pending.id) +
-                   " no longer parses: " + var_count.status().message());
-    }
     auto inner_id = inner_->Submit(pending.text);
     if (!inner_id.ok()) {
-      return abort("snapshot pending resubmission failed: " +
-                   inner_id.status().message());
+      return abort("snapshot pending query " + std::to_string(pending.id) +
+                   " no longer parses: " + inner_id.status().message());
     }
     ENTANGLED_CHECK_EQ(static_cast<size_t>(*inner_id), recovered_.size())
         << "Recover() needs a fresh inner service";
-    recovered_.push_back({pending.id, recovered_vars_, pending.var_start});
-    recovered_vars_ += pending.var_count;
-    live_[pending.id] = LiveQuery{pending.session, pending.var_start,
-                                  pending.var_count, pending.text};
+    recovered_.push_back(pending.id);
+    live_[pending.id] = LiveQuery{pending.session, pending.text};
     if (sessions != nullptr && pending.session >= 0) {
       sessions->AdoptRecovered(pending.session,
                                static_cast<QueryId>(pending.id));
     }
   }
   report_.recovered_pending = state.snapshot.pending.size();
-  var_offset_ = next_durable_var_ - recovered_vars_;
 
   // Cadence resumes exactly where the snapshot froze it.
   inner_->set_evaluate_every(evaluate_every_);

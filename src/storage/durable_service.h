@@ -98,14 +98,15 @@ Result<DurableState> ReadDurableState(const std::string& dir);
 /// Every admitted event is logged *after* admission checks (parse
 /// validation, pending probes) but *before* it is applied to the inner
 /// service, so the log holds exactly the accepted intent stream.  The
-/// decorator owns a durable id/variable namespace that survives
-/// restarts.  Until a Recover() the inner service allocates exactly the
-/// durable ids and variables (admission order determines both).  A
-/// recovered process resubmits the snapshot's P pending queries first,
-/// as inner ids [0, P), so only those differ by a lookup; every later
-/// id and variable is one constant offset away.  Ids are translated on
-/// the way in (cancels, reads) and deliveries on the way out
-/// (TranslateDelivery), without ever reading engine internals.
+/// decorator owns a durable id namespace that survives restarts.  Until
+/// a Recover() the inner service allocates exactly the durable ids
+/// (admission order determines them).  A recovered process resubmits
+/// the snapshot's P pending queries first, as inner ids [0, P), so only
+/// those differ by a lookup; every later id is one constant offset
+/// away.  Ids are translated on the way in (cancels, reads) and
+/// deliveries on the way out (TranslateDelivery), without ever reading
+/// engine internals; a delivery's witnesses are per participant and
+/// need no translation.
 ///
 /// Recovery = load latest snapshot + resubmit its pending queries with
 /// evaluation suspended + replay the WAL tail at the recorded cadence.
@@ -177,17 +178,7 @@ class DurableCoordinationService : public CoordinationService {
   /// One live (admitted, not yet retired or cancelled) query.
   struct LiveQuery {
     int64_t session = -1;
-    int64_t var_start = 0;
-    uint32_t var_count = 0;
     std::string text;
-  };
-
-  /// One snapshot-pending query Recover() resubmitted; its inner id is
-  /// its index in recovered_.
-  struct RecoveredQuery {
-    int64_t durable_id = 0;
-    int64_t inner_var_start = 0;
-    int64_t durable_var_start = 0;
   };
 
   DurableCoordinationService(CoordinationService* inner, const Database* db,
@@ -195,21 +186,17 @@ class DurableCoordinationService : public CoordinationService {
 
   Status LogRecord(const WalRecord& record);
   void OnInnerDelivery(const Delivery& delivery);
-  /// Allocates the next durable id and variables for one admission,
-  /// records it live, and returns the inner id the inner service must
-  /// assign it.  Runs before the inner call, whose per-arrival
-  /// evaluation may deliver the query at once.
-  QueryId AdmitNext(int64_t session, const std::string& text,
-                    size_t var_count);
+  /// Allocates the next durable id for one admission, records it live,
+  /// and returns the inner id the inner service must assign it.  Runs
+  /// before the inner call, whose per-arrival evaluation may deliver
+  /// the query at once.
+  QueryId AdmitNext(int64_t session, const std::string& text);
   /// Admits a validated text (or batch) and forwards it to the inner
   /// service, checking the inner ids and mirroring the cadence.
-  void ForwardSubmit(int64_t session, const std::string& text,
-                     size_t var_count);
-  void ForwardBatch(int64_t session, const std::vector<std::string>& texts,
-                    const std::vector<size_t>& var_counts);
-  /// Durable id of an inner query / durable variable of an inner one.
+  void ForwardSubmit(int64_t session, const std::string& text);
+  void ForwardBatch(int64_t session, const std::vector<std::string>& texts);
+  /// Durable id of an inner query.
   QueryId DurableId(QueryId inner) const;
-  VarId DurableVar(VarId inner) const;
   /// Inner id of durable query `id`, or -1 when this process never
   /// admitted it (not yet assigned, or retired before the snapshot it
   /// recovered from).
@@ -238,13 +225,11 @@ class DurableCoordinationService : public CoordinationService {
   /// itself.
   SessionManager* replay_sessions_ = nullptr;
 
-  // Durable namespaces and their inner translations.
+  // The durable id namespace and its inner translation.
   int64_t next_durable_id_ = 0;
-  int64_t next_durable_var_ = 0;
-  std::vector<RecoveredQuery> recovered_;  ///< the recovered prefix
-  int64_t recovered_vars_ = 0;  ///< inner variables the prefix allocated
-  int64_t id_offset_ = 0;       ///< durable - inner id past the prefix
-  int64_t var_offset_ = 0;      ///< durable - inner variable past it
+  /// The recovered prefix: durable id of inner query i, ascending.
+  std::vector<int64_t> recovered_;
+  int64_t id_offset_ = 0;  ///< durable - inner id past the prefix
   std::map<int64_t, LiveQuery> live_;  ///< durable id -> admitted intent
 
   // Delivery sequencing: durable sequence = offset + inner sequence.

@@ -15,7 +15,7 @@
 namespace entangled {
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'E', 'S', 'N', 'P', '0', '0', '0', '1'};
+constexpr char kSnapshotMagic[8] = {'E', 'S', 'N', 'P', '0', '0', '0', '2'};
 constexpr size_t kFrameOverhead = 4 + 4;  // payload length + payload crc
 
 void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
@@ -124,7 +124,6 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotState& state) {
   std::vector<uint8_t> out;
   PutU64(&out, state.epoch);
   PutI64(&out, state.next_durable_id);
-  PutI64(&out, state.next_durable_var);
   PutU64(&out, state.next_sequence);
   PutU64(&out, state.evaluate_every);
   PutU64(&out, state.cadence_phase);
@@ -143,8 +142,6 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotState& state) {
   for (const SnapshotPendingQuery& pending : state.pending) {
     PutI64(&out, pending.id);
     PutI64(&out, pending.session);
-    PutI64(&out, pending.var_start);
-    PutU32(&out, pending.var_count);
     PutString(&out, pending.text);
   }
   return out;
@@ -154,7 +151,6 @@ bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
   Reader in(data, size);
   uint32_t num_relations = 0;
   if (!in.ReadU64(&state->epoch) || !in.ReadI64(&state->next_durable_id) ||
-      !in.ReadI64(&state->next_durable_var) ||
       !in.ReadU64(&state->next_sequence) ||
       !in.ReadU64(&state->evaluate_every) ||
       !in.ReadU64(&state->cadence_phase) ||
@@ -195,7 +191,6 @@ bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
   for (uint32_t i = 0; i < num_pending; ++i) {
     SnapshotPendingQuery pending;
     if (!in.ReadI64(&pending.id) || !in.ReadI64(&pending.session) ||
-        !in.ReadI64(&pending.var_start) || !in.ReadU32(&pending.var_count) ||
         !in.ReadString(&pending.text)) {
       return false;
     }

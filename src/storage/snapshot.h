@@ -13,14 +13,11 @@
 namespace entangled {
 
 /// \brief One pending query as captured at snapshot time: exactly the
-/// admitted intent (id, owner, text) plus the durable variable window
-/// the decorator had assigned to it.
+/// admitted intent (id, owner, text).
 struct SnapshotPendingQuery {
-  int64_t id = -1;        ///< service-global durable query id
-  int64_t session = -1;   ///< owning session tag; -1 = direct submission
-  int64_t var_start = 0;  ///< first durable VarId allocated to this query
-  uint32_t var_count = 0;
-  std::string text;  ///< paper-syntax round-trip of the query
+  int64_t id = -1;       ///< service-global durable query id
+  int64_t session = -1;  ///< owning session tag; -1 = direct submission
+  std::string text;      ///< the query text as submitted
 };
 
 /// \brief One relation's facts at snapshot time.
@@ -37,7 +34,6 @@ struct SnapshotRelation {
 struct SnapshotState {
   uint64_t epoch = 0;  ///< storage epoch this snapshot begins
   int64_t next_durable_id = 0;
-  int64_t next_durable_var = 0;
   /// Delivery-sequence watermark: deliveries below this already reached
   /// clients before the snapshot; recovery resumes numbering here.
   uint64_t next_sequence = 0;

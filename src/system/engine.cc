@@ -74,18 +74,6 @@ Result<QueryId> CoordinationEngine::Submit(const std::string& query_text) {
   return id;
 }
 
-QueryId CoordinationEngine::SubmitQuery(EntangledQuery query) {
-  CheckNotReentrant("SubmitQuery");
-  // Owner-thread inline mutator: queued intake must land first so ids
-  // stay in arrival order, and the id base must resync afterwards
-  // because this growth bypasses the ticket accounting.
-  DrainIntake();
-  QueryId id = all_.AddQuery(std::move(query));
-  Admit(id);
-  ResyncIntakeBase();
-  return id;
-}
-
 Result<std::vector<QueryId>> CoordinationEngine::SubmitBatch(
     const std::vector<std::string>& query_texts) {
   if (intake_ != nullptr && !query_texts.empty()) {
@@ -343,7 +331,7 @@ bool CoordinationEngine::IsPending(QueryId id) const {
 }
 
 std::vector<QueryId> CoordinationEngine::ComponentOf(QueryId id) const {
-  ENTANGLED_CHECK(IsPending(id)) << "query " << id << " is not pending";
+  if (!IsPending(id)) return {};
   std::vector<QueryId> component =
       comp_members_[static_cast<size_t>(FindRoot(id))];
   std::sort(component.begin(), component.end());
@@ -840,18 +828,15 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
   CheckNotReentrant("ExtractPending");
   DrainIntake();  // queued submissions are pending too: extract them
   PendingExtract extract;
-  extract.original = PendingQueries();
-  extract.queries =
-      all_.Subset(extract.original, nullptr, &extract.original_vars);
+  const std::vector<QueryId> pending = PendingQueries();
+  extract.queries = all_.Subset(pending);
   // Schedule keys travel with the queries, so whichever engine adopts
   // this extract keeps scheduling them in the same global order.
-  extract.keys.reserve(extract.original.size());
-  for (QueryId id : extract.original) extract.keys.push_back(key_of(id));
+  extract.keys.reserve(pending.size());
+  for (QueryId id : pending) extract.keys.push_back(key_of(id));
   // Detach: the queries stay in all_ (ids are never reused) but leave
   // every live structure, as if they had never been admitted.
-  for (QueryId id : extract.original) {
-    pending_[static_cast<size_t>(id)] = false;
-  }
+  for (QueryId id : pending) pending_[static_cast<size_t>(id)] = false;
   num_pending_ = 0;
   graph_ = ExtendedCoordinationGraph();
   uf_parent_.clear();
@@ -869,46 +854,23 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
 
 std::vector<QueryId> CoordinationEngine::AdoptPending(
     const QuerySet& src, const std::vector<QueryId>& ids,
-    std::vector<std::pair<VarId, VarId>>* var_map,
-    const std::vector<QueryId>* keys) {
+    const std::vector<QueryId>& keys) {
   CheckNotReentrant("AdoptPending");
+  ENTANGLED_CHECK_EQ(keys.size(), ids.size());
   DrainIntake();
-  std::vector<QueryId> adopted = all_.AdoptQueries(src, ids, var_map);
+  std::vector<QueryId> adopted = all_.AdoptQueries(src, ids);
   ResyncIntakeBase();  // adoption grew all_ outside the ticket flow
   // Keys must land before IndexQuery: component bookkeeping (comp_min_,
   // persistent-subset extension guards) is key-ordered from the start.
   EnsureScheduleKeys(all_.size());
-  if (keys != nullptr) {
-    ENTANGLED_CHECK_EQ(keys->size(), adopted.size());
-    for (size_t i = 0; i < adopted.size(); ++i) {
-      schedule_keys_[static_cast<size_t>(adopted[i])] = (*keys)[i];
-    }
+  for (size_t i = 0; i < adopted.size(); ++i) {
+    schedule_keys_[static_cast<size_t>(adopted[i])] = keys[i];
   }
   // Index without counting submissions or touching the cadence: a
   // migrated query was already counted where it first arrived, and the
   // caller decides when evaluation happens.  Components gaining adopted
   // members are conservatively dirty (IndexQuery), which can only add
   // provably-failing re-evaluations, never change what is delivered.
-  for (QueryId id : adopted) IndexQuery(id);
-  return adopted;
-}
-
-std::vector<QueryId> CoordinationEngine::AdoptPending(
-    const PendingExtract& extract,
-    std::vector<std::pair<VarId, VarId>>* var_map) {
-  CheckNotReentrant("AdoptPending");
-  DrainIntake();
-  // One AdoptAll call: a single variable-remap pass over the whole
-  // extract, instead of one AdoptQueries (and one remap map) per query.
-  std::vector<QueryId> adopted = all_.AdoptAll(extract.queries, var_map);
-  ResyncIntakeBase();
-  EnsureScheduleKeys(all_.size());
-  if (!extract.keys.empty()) {
-    ENTANGLED_CHECK_EQ(extract.keys.size(), adopted.size());
-    for (size_t i = 0; i < adopted.size(); ++i) {
-      schedule_keys_[static_cast<size_t>(adopted[i])] = extract.keys[i];
-    }
-  }
   for (QueryId id : adopted) IndexQuery(id);
   return adopted;
 }

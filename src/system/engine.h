@@ -167,6 +167,10 @@ class CoordinationService {
   virtual std::vector<QueryId> PendingQueries() const = 0;
   virtual bool IsPending(QueryId id) const = 0;
   virtual size_t num_pending() const = 0;
+  /// The pending queries weakly connected to `id` in the coordination
+  /// graph (including `id`), ascending.  Empty when `id` is not pending:
+  /// delivered, cancelled, never issued or negative ids are all a
+  /// client's to ask about, so none of them aborts.
   virtual std::vector<QueryId> ComponentOf(QueryId id) const = 0;
 
   /// True when Submit/SubmitBatch defer admission to an intake queue
@@ -278,10 +282,6 @@ class CoordinationEngine : public CoordinationService {
   /// Submits one query in the paper's concrete syntax (core/parser.h).
   Result<QueryId> Submit(const std::string& query_text) override;
 
-  /// Submits a pre-built query whose variables were allocated through
-  /// NewVar() on mutable_queries().
-  QueryId SubmitQuery(EntangledQuery query);
-
   /// Admits a whole batch of queries before any evaluation runs, then —
   /// when automatic evaluation is enabled — flushes once.  Returns the
   /// ids of all admitted queries, or the first parse error.  Admission
@@ -312,16 +312,13 @@ class CoordinationEngine : public CoordinationService {
   // ------------------------------------------------------------------
 
   /// The detachable form of an engine's pending queries: a standalone
-  /// QuerySet with dense ids/vars (QuerySet::Subset) plus the maps back
-  /// into the source engine's namespaces.
+  /// QuerySet with dense ids/vars (QuerySet::Subset) plus each query's
+  /// schedule key.  Keys travel with the queries, so adopting an extract
+  /// preserves the global ordering the source engine scheduled them
+  /// under (see AdoptPending).
   struct PendingExtract {
     QuerySet queries;
-    std::vector<QueryId> original;     ///< dense id -> source engine id
-    std::vector<VarId> original_vars;  ///< dense var -> source engine var
-    /// dense id -> source schedule key.  Keys travel with the queries,
-    /// so adopting an extract preserves the global ordering the source
-    /// engine scheduled them under (see AdoptPending).
-    std::vector<QueryId> keys;
+    std::vector<QueryId> keys;  ///< dense id -> source schedule key
   };
 
   /// Detaches every pending query: returns them as a PendingExtract
@@ -333,41 +330,30 @@ class CoordinationEngine : public CoordinationService {
   /// their aggregate first.
   PendingExtract ExtractPending();
 
-  /// Admits copies of `src`'s queries `ids` — typically another
-  /// engine's PendingExtract — renumbered into this engine's query and
-  /// variable namespaces (QuerySet::AdoptQueries; `var_map` receives
-  /// that call's (source var, adopted var) pairs).  Adopted queries are
-  /// indexed into the incremental structures and their components
-  /// marked dirty, but adoption never triggers evaluation and never
-  /// counts as a submission: the caller owns the cadence and the
-  /// submission accounting.  Returns the new ids, in input order.
+  /// Admits copies of `src`'s queries `ids` — a freshly parsed staging
+  /// set or another engine's PendingExtract — renumbered into this
+  /// engine's query and variable namespaces (QuerySet::AdoptQueries),
+  /// each under the schedule key at the same position of `keys`.
+  /// Adopted queries are indexed into the incremental structures and
+  /// their components marked dirty, but adoption never triggers
+  /// evaluation and never counts as a submission: the caller owns the
+  /// cadence and the submission accounting.  Returns the new ids, in
+  /// input order.
   ///
-  /// `keys` (optional, parallel to `ids`) assigns each adopted query an
-  /// explicit schedule key; null defaults keys to the adopted local
-  /// ids.  Keys must be unique engine-wide and a caller that passes
-  /// explicit keys anywhere must pass them everywhere (the sharded
-  /// front door keys every query by its global id) — mixing keyed and
-  /// default-keyed admissions can collide.  All scheduling order —
-  /// solver tie-breaks, the flush apply heap, last_delivery_schedule_key
-  /// — follows keys, never local ids, which is what lets a merge append
-  /// queries to a survivor engine out of local-id order and still
-  /// reproduce the single-engine behaviour byte for byte.
-  std::vector<QueryId> AdoptPending(
-      const QuerySet& src, const std::vector<QueryId>& ids,
-      std::vector<std::pair<VarId, VarId>>* var_map = nullptr,
-      const std::vector<QueryId>* keys = nullptr);
-
-  /// Bulk adoption of a whole PendingExtract: one QuerySet::AdoptAll
-  /// call (one variable-remap pass, no per-query Subset), carrying the
-  /// extract's schedule keys across.  O(extract) total — this is the
-  /// O(smaller-side) path shard merges migrate through.
-  std::vector<QueryId> AdoptPending(
-      const PendingExtract& extract,
-      std::vector<std::pair<VarId, VarId>>* var_map = nullptr);
+  /// Keys must be unique engine-wide; Submit keys a query by its own
+  /// id, so a caller mixing both must keep its keys clear of those ids
+  /// (the sharded front door only adopts, keyed by global id).  All
+  /// scheduling order — solver tie-breaks, the flush apply heap,
+  /// last_delivery_schedule_key — follows keys, never local ids, which
+  /// is what lets a merge append queries to a survivor engine out of
+  /// local-id order and still reproduce the single-engine behaviour
+  /// byte for byte.
+  std::vector<QueryId> AdoptPending(const QuerySet& src,
+                                    const std::vector<QueryId>& ids,
+                                    const std::vector<QueryId>& keys);
 
   /// Master query set (all queries ever submitted; retired ones keep
-  /// their slots).  Use NewVar() here before SubmitQuery.
-  QuerySet* mutable_queries() { return &all_; }
+  /// their slots).
   const QuerySet& queries() const { return all_; }
 
   /// Queries awaiting coordination.
@@ -409,9 +395,7 @@ class CoordinationEngine : public CoordinationService {
     return gauges;
   }
 
-  /// Pending queries weakly connected to `id` in the coordination graph
-  /// (including `id`, which must be pending), sorted ascending: an
-  /// index lookup.
+  /// An index lookup (CoordinationService::ComponentOf).
   std::vector<QueryId> ComponentOf(QueryId id) const override;
 
   const EngineStats& stats() const { return stats_; }
@@ -627,7 +611,7 @@ class CoordinationEngine : public CoordinationService {
     const_cast<CoordinationEngine*>(this)->DrainIntake();
   }
   /// Re-derives intake_base_ after all_ grew outside the drain path
-  /// (SubmitQuery/AdoptPending); requires producer quiescence.
+  /// (AdoptPending); requires producer quiescence.
   void ResyncIntakeBase();
 
   const Database* db_;

@@ -1,6 +1,7 @@
 #include "system/sharded_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -49,8 +50,7 @@ Result<QueryId> ShardedCoordinationEngine::Submit(
     return parsed.status();
   }
   const QueryId id = next_id_++;
-  const Locator loc = RouteAndAdmit(staging, *parsed, id, next_var_);
-  next_var_ += static_cast<VarId>(staging.num_vars());
+  const Locator loc = RouteAndAdmit(staging, *parsed, id);
   ++front_stats_.submitted;
 
   if (options_.engine.evaluate_every > 0 &&
@@ -69,9 +69,7 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
     const std::vector<std::string>& query_texts) {
   CheckNotReentrant("SubmitBatch");
   // All-or-nothing admission, exactly like CoordinationEngine: parse the
-  // whole batch into one staging set before admitting anything.  Its
-  // variables are allocated in submission order, so global variables
-  // are one offset away.
+  // whole batch into one staging set before admitting anything.
   QuerySet staging;
   for (const std::string& text : query_texts) {
     auto parsed = ParseQuery(text, &staging);
@@ -84,10 +82,9 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
   ids.reserve(staging.size());
   for (QueryId sid = 0; sid < static_cast<QueryId>(staging.size()); ++sid) {
     ids.push_back(next_id_++);
-    RouteAndAdmit(staging, sid, ids.back(), next_var_);
+    RouteAndAdmit(staging, sid, ids.back());
     ++front_stats_.submitted;
   }
-  next_var_ += static_cast<VarId>(staging.num_vars());
   // The whole batch landed before any evaluation; now flush once, as a
   // single engine would.
   if (options_.engine.evaluate_every > 0) {
@@ -98,7 +95,7 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
 }
 
 ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
-    const QuerySet& staging, QueryId sid, QueryId gid, VarId var_base) {
+    const QuerySet& staging, QueryId sid, QueryId gid) {
   std::vector<RelationId> footprint = router_.Footprint(staging, sid);
   if (footprint.empty()) {
     // No postconditions and no head atoms (unreachable through the
@@ -152,16 +149,8 @@ ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
   // The global id doubles as the schedule key: unique across shards and
   // monotone in submission order, which is all the inner engines need
   // to reproduce a single engine's tie-breaks.
-  Shard& shard = shards_[slot];
-  const std::vector<QueryId> keys{gid};
-  std::vector<std::pair<VarId, VarId>> adopted_vars;
   const QueryId local =
-      shard.engine->AdoptPending(staging, {sid}, &adopted_vars, &keys).front();
-  for (const auto& [svar, lvar] : adopted_vars) {
-    // Adoption allocates local variables consecutively.
-    ENTANGLED_CHECK_EQ(static_cast<size_t>(lvar), shard.lvar_to_gvar.size());
-    shard.lvar_to_gvar.push_back(var_base + svar);
-  }
+      shards_[slot].engine->AdoptPending(staging, {sid}, {gid}).front();
   const Locator loc{slot, local};
   pending_.emplace(gid, loc);
   flush_candidates_.insert(slot);
@@ -199,12 +188,12 @@ size_t ShardedCoordinationEngine::CreateShard() {
 size_t ShardedCoordinationEngine::MergeShards(
     const std::vector<size_t>& slots) {
   // Small-into-large: the slot with the most pending queries survives
-  // with its engine, translation tables, and memoized component state
-  // untouched; every other slot is drained and bulk-adopted into it —
-  // O(sum of smaller sides) per merge, not O(union).  The survivor's
-  // local ids stop being monotone in global ids, which is fine: the
-  // schedule keys adopted alongside each query carry the global order,
-  // and the inner engine breaks every tie on keys.
+  // with its engine and memoized component state untouched; every other
+  // slot is drained and bulk-adopted into it — O(sum of smaller sides)
+  // per merge, not O(union).  The survivor's local ids stop being
+  // monotone in global ids, which is fine: the schedule keys adopted
+  // alongside each query carry the global order, and the inner engine
+  // breaks every tie on keys.
   ++sharded_stats_.merge_events;
   size_t survivor = slots.front();
   for (size_t s : slots) {
@@ -220,7 +209,7 @@ size_t ShardedCoordinationEngine::MergeShards(
     ENTANGLED_CHECK(shards_[s].deliveries.empty());
     const CoordinationEngine::PendingExtract extract =
         shards_[s].engine->ExtractPending();
-    moved += AdoptExtractIntoShard(survivor, s, extract);
+    moved += AdoptExtractIntoShard(survivor, extract);
     RetireShard(s, /*absorbed=*/true);
     flush_candidates_.erase(s);
   }
@@ -232,24 +221,15 @@ size_t ShardedCoordinationEngine::MergeShards(
 }
 
 uint64_t ShardedCoordinationEngine::AdoptExtractIntoShard(
-    size_t into_slot, size_t from_slot,
-    const CoordinationEngine::PendingExtract& extract) {
-  Shard& into = shards_[into_slot];
-  const Shard& from = shards_[from_slot];
-  std::vector<std::pair<VarId, VarId>> adopted_vars;
+    size_t into_slot, const CoordinationEngine::PendingExtract& extract) {
+  std::vector<QueryId> dense(extract.queries.size());
+  std::iota(dense.begin(), dense.end(), QueryId{0});
   const std::vector<QueryId> locals =
-      into.engine->AdoptPending(extract, &adopted_vars);
+      shards_[into_slot].engine->AdoptPending(extract.queries, dense,
+                                              extract.keys);
   for (size_t j = 0; j < locals.size(); ++j) {
     // The extract's keys are this front door's global ids.
     pending_.at(extract.keys[j]) = Locator{into_slot, locals[j]};
-  }
-  for (const auto& [dense, lvar] : adopted_vars) {
-    // dense var -> source shard var -> global var.
-    const VarId old_lvar =
-        extract.original_vars[static_cast<size_t>(dense)];
-    ENTANGLED_CHECK_EQ(static_cast<size_t>(lvar), into.lvar_to_gvar.size());
-    into.lvar_to_gvar.push_back(
-        from.lvar_to_gvar[static_cast<size_t>(old_lvar)]);
   }
   return static_cast<uint64_t>(locals.size());
 }
@@ -260,8 +240,6 @@ void ShardedCoordinationEngine::RetireShard(size_t slot, bool absorbed) {
   ENTANGLED_CHECK(shard.deliveries.empty());
   retired_stats_ += shard.engine->stats();
   shard.engine.reset();
-  shard.lvar_to_gvar.clear();
-  shard.lvar_to_gvar.shrink_to_fit();
   shard.group_root = -1;
   free_slots_.push_back(slot);
   --num_live_shards_;
@@ -306,7 +284,7 @@ std::vector<QueryId> ShardedCoordinationEngine::PendingQueries() const {
 std::vector<QueryId> ShardedCoordinationEngine::ComponentOf(
     QueryId id) const {
   auto it = pending_.find(id);
-  ENTANGLED_CHECK(it != pending_.end()) << "query " << id << " is not pending";
+  if (it == pending_.end()) return {};
   const CoordinationEngine& engine = *shards_[it->second.shard].engine;
   std::vector<QueryId> component = engine.ComponentOf(it->second.local);
   for (QueryId& q : component) q = engine.key_of(q);
@@ -360,7 +338,7 @@ ServiceGauges ShardedCoordinationEngine::GaugesSnapshot() const {
 void ShardedCoordinationEngine::OnShardDelivery(
     size_t slot, const QuerySet& set, const CoordinationSolution& solution) {
   // Runs on whichever thread is flushing this shard; touches only the
-  // shard's own tables and buffer, so concurrent shard flushes never
+  // shard's own engine and buffer, so concurrent shard flushes never
   // share state.
   Shard& shard = shards_[slot];
   const CoordinationEngine& engine = *shard.engine;
@@ -376,12 +354,8 @@ void ShardedCoordinationEngine::OnShardDelivery(
       buffered.delivery.queries.emplace_back().id = local;
     }
   }
-  TranslateDelivery(
-      [&engine](QueryId local) { return engine.key_of(local); },
-      [&shard](VarId lvar) {
-        return shard.lvar_to_gvar[static_cast<size_t>(lvar)];
-      },
-      &buffered.delivery);
+  TranslateDelivery([&engine](QueryId local) { return engine.key_of(local); },
+                    &buffered.delivery);
   shard.deliveries.push_back(std::move(buffered));
 }
 

@@ -66,8 +66,8 @@ struct ShardedStats {
 /// and the inner engines order all solver input, apply-heap, and
 /// delivery-key decisions on keys rather than shard-local ids; the
 /// survivor's local-id order therefore no longer needs to stay monotone
-/// in global order, its translation tables and memoized component state
-/// survive the merge untouched, and the solver's discovery-order
+/// in global order, its memoized component state survives the merge
+/// untouched, and the solver's discovery-order
 /// tie-breaks still see members in exact global submission order.
 ///
 /// Determinism contract (enforced by the stress harness): for any event
@@ -80,12 +80,12 @@ struct ShardedStats {
 ///
 /// Each query is stored once, in the shard that owns it: Submit parses
 /// a text into a staging set, routes it by that set's footprint, and
-/// adopts it into the shard under the next global id (its schedule key)
-/// and the next global variables.  The front door keeps only a locator
-/// per *pending* query and, per live shard, the local->global variable
-/// map; deliveries are materialized from the shard's own query set on
+/// adopts it into the shard under the next global id (its schedule
+/// key).  The front door keeps only a locator per *pending* query.
+/// Deliveries are materialized from the shard's own query set on
 /// whichever thread flushes the shard and rewritten to global ids
-/// (TranslateDelivery, api/delivery.h).
+/// (TranslateDelivery, api/delivery.h); each participant's witness is
+/// keyed by its own variables' positions, so no variable map exists.
 ///
 /// The public API is single-threaded, like CoordinationEngine's;
 /// callbacks always fire on the calling thread with global ids.
@@ -95,9 +95,9 @@ class ShardedCoordinationEngine : public CoordinationService {
                             ShardedEngineOptions options = {});
 
   /// Callbacks must not re-enter the front door (same contract as
-  /// CoordinationEngine::set_delivery_callback); delivered ids and
-  /// witness variables are global, and the Delivery is fully owned —
-  /// it survives any later Cancel/Flush/shard migration.
+  /// CoordinationEngine::set_delivery_callback); delivered ids are
+  /// global, and the Delivery is fully owned — it survives any later
+  /// Cancel/Flush/shard migration.
   void set_delivery_callback(DeliveryCallback callback) override {
     callback_ = std::move(callback);
   }
@@ -153,8 +153,8 @@ class ShardedCoordinationEngine : public CoordinationService {
     QueryId local = -1;
   };
 
-  /// One delivery buffered during a shard flush, already in global ids
-  /// and variables, keyed for the cross-shard merge.
+  /// One delivery buffered during a shard flush, already in global ids,
+  /// keyed for the cross-shard merge.
   struct BufferedDelivery {
     QueryId key = -1;  ///< global schedule key (component smallest id)
     /// Fully materialized when a delivery callback is set; otherwise
@@ -165,9 +165,6 @@ class ShardedCoordinationEngine : public CoordinationService {
   struct Shard {
     std::unique_ptr<CoordinationEngine> engine;  ///< null once retired
     RelationId group_root = -1;
-    /// Local var -> global var.  Local ids need no table: the inner
-    /// engine's schedule keys are the global ids.
-    std::vector<VarId> lvar_to_gvar;
     /// Filled by this shard's delivery callback (on whichever thread
     /// flushes the shard — each shard is flushed by exactly one
     /// thread), drained and merged on the calling thread.
@@ -177,33 +174,28 @@ class ShardedCoordinationEngine : public CoordinationService {
   void CheckNotReentrant(const char* entry_point) const;
 
   /// Routes query `sid` of a freshly parsed `staging` set as global
-  /// query `gid`, whose variables are `var_base` plus its staging
-  /// variables: computes its footprint, unites the touched relation
+  /// query `gid`: computes its footprint, unites the touched relation
   /// groups (merging shards when the footprint bridges several), adopts
-  /// the query into the owning shard, and marks it pending.  No
-  /// evaluation.  Returns where the query landed.
-  Locator RouteAndAdmit(const QuerySet& staging, QueryId sid, QueryId gid,
-                        VarId var_base);
+  /// the query into the owning shard keyed by `gid`, and marks it
+  /// pending.  No evaluation.  Returns where the query landed.
+  Locator RouteAndAdmit(const QuerySet& staging, QueryId sid, QueryId gid);
 
   /// Fresh inner engine wired to this front door; returns its slot.
   size_t CreateShard();
 
   /// Merges the given live slots small-into-large: the slot with the
   /// most pending queries (ties -> smallest slot) survives with its
-  /// engine, tables, and memoized component state intact, and every
+  /// engine and memoized component state intact, and every
   /// other slot's extract is adopted into it with one bulk AdoptPending
   /// call per source — O(sum of smaller sides) total.  Returns the
   /// surviving slot.
   size_t MergeShards(const std::vector<size_t>& slots);
 
   /// Adopts one source extract into `into_slot`'s engine (single bulk
-  /// AdoptPending) and rewires the variable map and locators;
-  /// `from_slot` names the source shard whose variable map takes the
-  /// extract back to global space.  Returns the number of queries
-  /// moved.
+  /// AdoptPending, keyed by the extract's global ids) and rewires the
+  /// locators.  Returns the number of queries moved.
   uint64_t AdoptExtractIntoShard(
-      size_t into_slot, size_t from_slot,
-      const CoordinationEngine::PendingExtract& extract);
+      size_t into_slot, const CoordinationEngine::PendingExtract& extract);
 
   /// Folds the shard's stats into the retired accumulator and destroys
   /// its engine.
@@ -228,10 +220,9 @@ class ShardedCoordinationEngine : public CoordinationService {
   const Database* db_;
   ShardedEngineOptions options_;
 
-  /// Next global query id and variable: a single engine over the same
-  /// stream would allocate exactly these.
+  /// Next global query id: a single engine over the same stream would
+  /// allocate exactly this one.
   QueryId next_id_ = 0;
-  VarId next_var_ = 0;
   std::unordered_map<QueryId, Locator> pending_;  ///< pending gid -> shard
   size_t since_last_eval_ = 0;
 

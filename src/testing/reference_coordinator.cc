@@ -142,7 +142,7 @@ std::vector<std::vector<QueryId>> ReferenceCoordinator::Components() const {
 }
 
 std::vector<QueryId> ReferenceCoordinator::ComponentOf(QueryId id) const {
-  ENTANGLED_CHECK(IsPending(id)) << "query " << id << " is not pending";
+  if (!IsPending(id)) return {};
   std::vector<std::vector<QueryId>> components = Components();
   auto it = std::find_if(components.begin(), components.end(),
                          [id](const std::vector<QueryId>& component) {

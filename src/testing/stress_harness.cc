@@ -55,18 +55,42 @@ std::string DeliveryDiff(const Delivery& a, const Delivery& b) {
     if (x.name != y.name) return "names" + which;
     if (x.text != y.text) return "texts" + which;
     if (x.answers != y.answers) return "grounded answers" + which;
+    if (x.witness != y.witness) return "witness" + which;
   }
-  if (a.witness != b.witness) return "witness assignments";
-  if (a.witness_names != b.witness_names) return "witness names";
+  return "";
+}
+
+/// Empty when `renamed`'s witness is `base`'s under the symbol-renaming
+/// metamorphic relation: the same variables in the same order, integers
+/// untouched, every string prefixed with "Rn".
+std::string RenamedWitnessMismatch(const DeliveredQuery& base,
+                                   const DeliveredQuery& renamed) {
+  if (base.witness.size() != renamed.witness.size()) {
+    return "witness arity changed";
+  }
+  for (size_t k = 0; k < base.witness.size(); ++k) {
+    const auto& [name, value] = base.witness[k];
+    const auto& [other_name, other] = renamed.witness[k];
+    if (name != other_name) {
+      return "witness variable " + name + " became " + other_name;
+    }
+    if (value.is_int()) {
+      if (other != value) return "integer witness value changed";
+    } else if (!other.is_string() ||
+               other.AsString() != "Rn" + value.AsString()) {
+      return "string witness '" + value.AsString() +
+             "' did not map to its renamed form";
+    }
+  }
   return "";
 }
 
 /// The Definition-1 master for a replay: every submitted text parsed in
 /// submission order, which is exactly how a single engine allocates
-/// query ids and variables — so any service's deliveries validate
-/// against it, including the sharded front door, which keeps no master
-/// set.  Stops at the first text that fails to parse (the replay
-/// itself reports that rejection).
+/// query ids — so any service's deliveries validate against it,
+/// including the sharded front door, which keeps no master set.  Stops
+/// at the first text that fails to parse (the replay itself reports
+/// that rejection).
 QuerySet ParseSubmitted(const std::vector<WorkloadEvent>& events) {
   QuerySet master;
   for (const WorkloadEvent& event : events) {
@@ -153,8 +177,9 @@ StressReplay Replay(const Database& db, const EngineVariant& variant,
                   " but " + std::to_string(run.log.size()) +
                   " deliveries observed before it";
     }
-    Status valid =
-        ValidateSolution(db, master, SolutionFromDelivery(delivery));
+    auto solution = SolutionFromDelivery(master, delivery);
+    Status valid = solution.ok() ? ValidateSolution(db, master, *solution)
+                                 : solution.status();
     if (!valid.ok() && run.error.empty()) {
       run.error = "delivery " + IdsToString(delivery.QueryIds()) +
                   " failed Definition-1 validation: " + valid.ToString();
@@ -1070,35 +1095,13 @@ std::string StressHarness::RunMetamorphic(
                IdsToString(base.log[i].QueryIds()) + " vs " +
                IdsToString(variant.log[i].QueryIds());
       }
-      const Binding& base_witness = base.log[i].witness;
-      const Binding& renamed_witness = variant.log[i].witness;
-      if (base_witness.size() != renamed_witness.size()) {
-        return "metamorphic[symbol renaming]: witness arity changed at "
-               "delivery " +
-               std::to_string(i);
-      }
-      std::string mismatch;
-      base_witness.ForEach([&](VarId var, const Value& value) {
-        if (!mismatch.empty()) return;
-        const Value* other = renamed_witness.Find(var);
-        if (other == nullptr) {
-          mismatch = "variable ?" + std::to_string(var) +
-                     " unbound in the renamed witness";
-          return;
+      for (size_t j = 0; j < base.log[i].queries.size(); ++j) {
+        const std::string mismatch = RenamedWitnessMismatch(
+            base.log[i].queries[j], variant.log[i].queries[j]);
+        if (!mismatch.empty()) {
+          return "metamorphic[symbol renaming]: delivery " +
+                 std::to_string(i) + ": " + mismatch;
         }
-        if (value.is_int()) {
-          if (*other != value) {
-            mismatch = "integer witness value changed under renaming";
-          }
-        } else if (!other->is_string() ||
-                   other->AsString() != "Rn" + value.AsString()) {
-          mismatch = "string witness '" + value.AsString() +
-                     "' did not map to its renamed form";
-        }
-      });
-      if (!mismatch.empty()) {
-        return "metamorphic[symbol renaming]: delivery " + std::to_string(i) +
-               ": " + mismatch;
       }
     }
     if (base.final_pending != variant.final_pending) {

@@ -87,8 +87,8 @@ struct StressOptions {
 
 /// \brief Everything one engine replay produced.
 struct StressReplay {
-  /// Every delivery, whole: ids, names, texts, grounded answers,
-  /// witness and witness names are all compared across replays.
+  /// Every delivery, whole: ids, names, texts, grounded answers and
+  /// each participant's witness are all compared across replays.
   std::vector<Delivery> log;
   std::vector<QueryId> final_pending;
   size_t pending_count = 0;  ///< the engine's O(1) num_pending()

@@ -30,14 +30,10 @@ std::string DeepRender(const Delivery& d) {
     for (const Atom& answer : q.answers) {
       out += "  answer=" + answer.ToString() + "\n";
     }
-  }
-  d.witness.ForEach([&](VarId var, const Value& value) {
-    // AsString() touches the interner-backed storage for symbols.
-    out += "  ?" + std::to_string(var) + "=" +
-           value.ToString(/*quote=*/true) + "\n";
-  });
-  for (const auto& [var, name] : d.witness_names) {
-    out += "  name(?" + std::to_string(var) + ")=" + name + "\n";
+    for (const auto& [name, value] : q.witness) {
+      // ToString() touches the interner-backed storage for symbols.
+      out += "  " + name + "=" + value.ToString(/*quote=*/true) + "\n";
+    }
   }
   out += d.ToString();
   return out;

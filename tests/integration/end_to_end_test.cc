@@ -55,9 +55,9 @@ TEST(EndToEndTest, SessionsProcessMixedArrivalStream) {
     for (const SessionEvent& event : user->PollEvents()) {
       ++events;
       // Each delivered event re-validates against Definition 1.
-      ASSERT_TRUE(ValidateSolution(db, engine.queries(),
-                                   SolutionFromDelivery(*event.delivery))
-                      .ok());
+      auto solution = SolutionFromDelivery(engine.queries(), *event.delivery);
+      ASSERT_TRUE(solution.ok()) << solution.status();
+      ASSERT_TRUE(ValidateSolution(db, engine.queries(), *solution).ok());
       ASSERT_EQ(event.own_queries.size(), 1u);
     }
   }

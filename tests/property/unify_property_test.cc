@@ -1,3 +1,5 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -123,6 +125,40 @@ TEST_P(UnifyProperty, ParserPrinterRoundTrip) {
     auto rid = ParseQuery(printed, &reparsed);
     ASSERT_TRUE(rid.ok()) << printed << " -> " << rid.status();
     EXPECT_EQ(reparsed.QueryToString(*rid), printed);
+  }
+}
+
+TEST_P(UnifyProperty, ParsedWildcardsRoundTrip) {
+  Rng rng(GetParam() * 977);
+  // Parser-produced queries with `_` wildcards through print -> parse
+  // -> print: a fixpoint after one round trip, and the reparse binds as
+  // many variables as the original (no wildcard turns into a constant).
+  const char* const kTerms[] = {"x", "y", "_", "_", "3", "'k'", "Zed"};
+  auto random_atom = [&rng, &kTerms](const std::string& relation) {
+    std::string atom = relation + "(";
+    const size_t arity = 1 + rng.NextBounded(3);
+    for (size_t i = 0; i < arity; ++i) {
+      atom += (i == 0 ? "" : ", ");
+      atom += kTerms[rng.NextBounded(sizeof(kTerms) / sizeof(kTerms[0]))];
+    }
+    return atom + ")";
+  };
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::string text =
+        "q: {" + (rng.NextBool() ? random_atom("P") : std::string()) + "} " +
+        random_atom("H") + " :- " + random_atom("B") + ", W(_).";
+    QuerySet set;
+    auto id = ParseQuery(text, &set);
+    ASSERT_TRUE(id.ok()) << text << " -> " << id.status();
+    const std::string printed = set.QueryToString(*id);
+
+    QuerySet reparsed;
+    auto rid = ParseQuery(printed, &reparsed);
+    ASSERT_TRUE(rid.ok()) << printed << " -> " << rid.status();
+    EXPECT_EQ(reparsed.QueryToString(*rid), printed) << text;
+    EXPECT_EQ(reparsed.query(*rid).Variables().size(),
+              set.query(*id).Variables().size())
+        << text << " printed as " << printed;
   }
 }
 

@@ -49,7 +49,6 @@ SnapshotState SampleState() {
   SnapshotState state;
   state.epoch = 4;
   state.next_durable_id = 11;
-  state.next_durable_var = 23;
   state.next_sequence = 6;
   state.evaluate_every = 2;
   state.cadence_phase = 1;
@@ -67,8 +66,6 @@ SnapshotState SampleState() {
   SnapshotPendingQuery pending;
   pending.id = 9;
   pending.session = 1;
-  pending.var_start = 17;
-  pending.var_count = 2;
   pending.text = "q9: answers(X) :- fact(X, Y)";
   state.pending.push_back(pending);
   return state;
@@ -77,7 +74,6 @@ SnapshotState SampleState() {
 void ExpectStatesEqual(const SnapshotState& a, const SnapshotState& b) {
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.next_durable_id, b.next_durable_id);
-  EXPECT_EQ(a.next_durable_var, b.next_durable_var);
   EXPECT_EQ(a.next_sequence, b.next_sequence);
   EXPECT_EQ(a.evaluate_every, b.evaluate_every);
   EXPECT_EQ(a.cadence_phase, b.cadence_phase);
@@ -95,8 +91,6 @@ void ExpectStatesEqual(const SnapshotState& a, const SnapshotState& b) {
   for (size_t i = 0; i < a.pending.size(); ++i) {
     EXPECT_EQ(a.pending[i].id, b.pending[i].id);
     EXPECT_EQ(a.pending[i].session, b.pending[i].session);
-    EXPECT_EQ(a.pending[i].var_start, b.pending[i].var_start);
-    EXPECT_EQ(a.pending[i].var_count, b.pending[i].var_count);
     EXPECT_EQ(a.pending[i].text, b.pending[i].text);
   }
 }
@@ -188,6 +182,29 @@ TEST(SnapshotTest, BitFlipFailsTheLoadWithATypedError) {
   auto loaded = LoadSnapshot(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_FALSE(loaded.status().message().empty());
+}
+
+TEST(SnapshotTest, PreviousLayoutFailsTheHeaderCheck) {
+  // ESNP0001 snapshots also carried a durable variable window per
+  // pending query; the header check refuses them before the payload
+  // could be mis-decoded under the current layout.
+  TempDir dir;
+  const SnapshotState state = SampleState();
+  ASSERT_TRUE(WriteSnapshot(state, dir.path()).ok());
+  const std::string path = SnapshotPath(dir.path(), state.epoch);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    char magic[8];
+    f.read(magic, sizeof(magic));
+    ASSERT_EQ(std::string(magic, sizeof(magic)), "ESNP0002");
+    f.seekp(7);
+    f.put('1');
+  }
+  auto loaded = LoadSnapshot(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("header"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SnapshotTest, ListingIgnoresForeignFiles) {

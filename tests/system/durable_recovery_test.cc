@@ -388,15 +388,6 @@ void OpenDirect(DirectStack* stack, bool sharded, const std::string& dir,
   }
 }
 
-/// A witness as printable (variable, value) pairs.
-std::vector<std::pair<VarId, std::string>> WitnessPairs(const Binding& w) {
-  std::vector<std::pair<VarId, std::string>> pairs;
-  w.ForEach([&pairs](VarId var, const Value& value) {
-    pairs.emplace_back(var, value.ToString(/*quote=*/true));
-  });
-  return pairs;
-}
-
 void ExpectUnknown(DurableCoordinationService* service, QueryId id) {
   EXPECT_FALSE(service->IsPending(id)) << id;
   EXPECT_TRUE(service->ComponentOf(id).empty()) << id;
@@ -408,7 +399,7 @@ void ExpectUnknown(DurableCoordinationService* service, QueryId id) {
 /// admissions (one offset away), and ids this process never admitted.
 /// Cancel, IsPending and ComponentOf are called on each kind, then the
 /// service crashes and recovers again, and the whole delivery stream —
-/// ids, witness variables, names, answers — must equal an uninterrupted
+/// ids, names, texts, answers, witnesses — must equal an uninterrupted
 /// run's.
 TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
   const bool sharded = GetParam();
@@ -502,12 +493,12 @@ TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
     const Delivery& b = crashed[i];
     EXPECT_EQ(a.sequence, b.sequence) << i;
     EXPECT_EQ(a.QueryIds(), b.QueryIds()) << i;
-    EXPECT_EQ(WitnessPairs(a.witness), WitnessPairs(b.witness)) << i;
-    EXPECT_EQ(a.witness_names, b.witness_names) << i;
     ASSERT_EQ(a.queries.size(), b.queries.size()) << i;
     for (size_t j = 0; j < a.queries.size(); ++j) {
       EXPECT_EQ(a.queries[j].name, b.queries[j].name) << i;
+      EXPECT_EQ(a.queries[j].text, b.queries[j].text) << i;
       EXPECT_EQ(a.queries[j].answers, b.queries[j].answers) << i;
+      EXPECT_EQ(a.queries[j].witness, b.queries[j].witness) << i;
     }
   }
 }

@@ -3,12 +3,20 @@
 // and — the interesting one — cancelling the last member of a dirty
 // component, which must drop the now-empty component from the
 // dirty worklist instead of leaving a stale root for Flush to trip on.
+// Also ComponentOf's answer for ids that are not pending, on every
+// CoordinationService.
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "storage/durable_service.h"
 #include "system/engine.h"
+#include "system/sharded_engine.h"
 #include "testing/reference_coordinator.h"
 #include "workload/social_data.h"
 
@@ -30,6 +38,45 @@ TEST_F(EngineCancelEdgeTest, CancelUnknownIdReturnsFalse) {
   EXPECT_FALSE(engine.Cancel(0));    // no query was ever submitted
   EXPECT_FALSE(engine.Cancel(999));  // far beyond any issued id
   EXPECT_EQ(engine.stats().cancelled, 0u);
+}
+
+/// CoordinationService::ComponentOf's contract: a delivered, cancelled,
+/// never-issued or negative id gets an empty component from every
+/// service — the engine, the sharded front door, the durable decorator
+/// and the reference oracle — and none of them aborts.
+TEST_F(EngineCancelEdgeTest, ComponentOfIsEmptyUnlessPendingOnEveryService) {
+  char dir_template[] = "/tmp/entangled_component_of_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  CoordinationEngine engine(&db_);
+  ShardedCoordinationEngine sharded(&db_);
+  ReferenceCoordinator reference(&db_);
+  CoordinationEngine durable_inner(&db_);
+  DurabilityOptions durability;
+  durability.dir = dir;
+  durability.fsync = FsyncPolicy::kNone;
+  auto durable =
+      DurableCoordinationService::Create(&durable_inner, &db_, durability);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+
+  const std::vector<CoordinationService*> services = {
+      &engine, &sharded, &reference, durable->get()};
+  for (size_t i = 0; i < services.size(); ++i) {
+    CoordinationService* service = services[i];
+    auto delivered = service->Submit("solo: { } K(w) :- Users(w, 'user5').");
+    auto stuck = service->Submit("s: { Nobody(m) } W(s) :- Users(s, 'user1').");
+    auto cancelled =
+        service->Submit("c: { Nobody(m) } V(s) :- Users(s, 'user2').");
+    ASSERT_TRUE(delivered.ok() && stuck.ok() && cancelled.ok()) << i;
+    ASSERT_TRUE(service->Cancel(*cancelled)) << i;
+    EXPECT_EQ(service->ComponentOf(*stuck), std::vector<QueryId>{*stuck})
+        << i;
+    for (QueryId id : {*delivered, *cancelled, QueryId{3}, QueryId{-1}}) {
+      EXPECT_FALSE(service->IsPending(id)) << i << " id " << id;
+      EXPECT_TRUE(service->ComponentOf(id).empty()) << i << " id " << id;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EngineCancelEdgeTest, CancelRetiredIdReturnsFalse) {

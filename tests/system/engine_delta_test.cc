@@ -8,11 +8,12 @@
 // engaged.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "db/binding.h"
+#include "api/delivery.h"
 #include "system/engine.h"
 #include "system/sharded_engine.h"
 #include "testing/reference_coordinator.h"
@@ -24,17 +25,26 @@ namespace {
 
 struct LoggedDelivery {
   std::vector<QueryId> queries;
-  Binding assignment;
+  /// Each participant's witness, in participant order.
+  std::vector<std::vector<std::pair<std::string, Value>>> witnesses;
+
+  static LoggedDelivery Of(const Delivery& delivery) {
+    LoggedDelivery logged{delivery.QueryIds(), {}};
+    for (const DeliveredQuery& q : delivery.queries) {
+      logged.witnesses.push_back(q.witness);
+    }
+    return logged;
+  }
 
   friend bool operator==(const LoggedDelivery& a, const LoggedDelivery& b) {
-    return a.queries == b.queries && a.assignment == b.assignment;
+    return a.queries == b.queries && a.witnesses == b.witnesses;
   }
 };
 
 void LogDeliveries(CoordinationService* engine,
                    std::vector<LoggedDelivery>* log) {
   engine->set_delivery_callback([log](const Delivery& delivery) {
-    log->push_back(LoggedDelivery{delivery.QueryIds(), delivery.witness});
+    log->push_back(LoggedDelivery::Of(delivery));
   });
 }
 
@@ -131,12 +141,12 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
   EXPECT_EQ(source.stats().evaluations, 1u);
 
   CoordinationEngine::PendingExtract extract = source.ExtractPending();
-  ASSERT_EQ(extract.original, (std::vector<QueryId>{0}));
+  ASSERT_EQ(extract.keys, (std::vector<QueryId>{0}));
 
   CoordinationEngine target(&db_, FlushOnly());
   std::vector<LoggedDelivery> log;
   LogDeliveries(&target, &log);
-  target.AdoptPending(extract.queries, {0}, nullptr);
+  target.AdoptPending(extract.queries, {0}, extract.keys);
   ASSERT_TRUE(
       target.Submit("b: { U(A, y) } U(B, y) :- Users(y, 'user1').").ok());
   EXPECT_EQ(target.Flush(), 1u);

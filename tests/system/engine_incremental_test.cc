@@ -24,7 +24,8 @@
 namespace entangled {
 namespace {
 
-/// One recorded delivery: engine ids plus the full witness assignment.
+/// One recorded delivery: engine ids plus the full witness assignment,
+/// keyed by the engine's own variables (SolutionFromDelivery).
 struct LoggedDelivery {
   std::vector<QueryId> queries;
   Binding assignment;
@@ -146,10 +147,11 @@ RunResult RunInterleaving(const Database& db, Engine* engine,
   RunResult run;
   engine->set_delivery_callback([&](const Delivery& delivery) {
     // Every delivery must also be independently valid (Def. 1).
-    CoordinationSolution solution = SolutionFromDelivery(delivery);
-    EXPECT_TRUE(ValidateSolution(db, engine->queries(), solution).ok());
-    run.log.push_back(LoggedDelivery{std::move(solution.queries),
-                                     std::move(solution.assignment)});
+    auto solution = SolutionFromDelivery(engine->queries(), delivery);
+    ASSERT_TRUE(solution.ok()) << solution.status();
+    EXPECT_TRUE(ValidateSolution(db, engine->queries(), *solution).ok());
+    run.log.push_back(LoggedDelivery{std::move(solution->queries),
+                                     std::move(solution->assignment)});
   });
   size_t next_text = 0;
   for (const Op& op : ops) {

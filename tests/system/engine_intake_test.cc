@@ -12,10 +12,12 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/delivery.h"
 #include "common/rng.h"
 #include "system/engine.h"
 #include "workload/social_data.h"
@@ -65,10 +67,19 @@ std::vector<std::string> MakePool(uint64_t seed) {
 
 struct LoggedDelivery {
   std::vector<QueryId> queries;
-  Binding assignment;
+  /// Each participant's witness, in participant order.
+  std::vector<std::vector<std::pair<std::string, Value>>> witnesses;
+
+  static LoggedDelivery Of(const Delivery& delivery) {
+    LoggedDelivery logged{delivery.QueryIds(), {}};
+    for (const DeliveredQuery& q : delivery.queries) {
+      logged.witnesses.push_back(q.witness);
+    }
+    return logged;
+  }
 
   friend bool operator==(const LoggedDelivery& a, const LoggedDelivery& b) {
-    return a.queries == b.queries && a.assignment == b.assignment;
+    return a.queries == b.queries && a.witnesses == b.witnesses;
   }
 };
 
@@ -88,8 +99,7 @@ RunResult RunInterleaving(const Database& db, EngineOptions options,
   CoordinationEngine engine(&db, options);
   RunResult run;
   engine.set_delivery_callback([&](const Delivery& delivery) {
-    std::vector<QueryId> ids = delivery.QueryIds();
-    run.log.push_back(LoggedDelivery{std::move(ids), delivery.witness});
+    run.log.push_back(LoggedDelivery::Of(delivery));
   });
   Rng rng(op_seed);
   size_t next_text = 0;

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/query.h"
 #include "system/engine.h"
 #include "workload/social_data.h"
 
@@ -39,20 +38,6 @@ TEST_F(EngineReentrancyDeathTest, SubmitInsideCallbackDies) {
   // The CHECK names the violating entry point.
   EXPECT_DEATH(engine.Submit(Loner()),
                "Submit called from inside a delivery callback");
-}
-
-TEST_F(EngineReentrancyDeathTest, SubmitQueryInsideCallbackDies) {
-  CoordinationEngine engine(&db_);
-  engine.set_delivery_callback([&engine](const Delivery&) {
-    QueryBuilder builder(engine.mutable_queries(), "late");
-    VarId v = builder.Var("v");
-    builder.Head("K", {Term::Var(v)});
-    builder.Body("Users", {Term::Var(v), Term::Str("user1")});
-    EntangledQuery query = engine.mutable_queries()->query(builder.Build());
-    engine.SubmitQuery(query);
-  });
-  EXPECT_DEATH(engine.Submit(Loner()),
-               "SubmitQuery called from inside a delivery callback");
 }
 
 TEST_F(EngineReentrancyDeathTest, SubmitBatchInsideCallbackDies) {

@@ -41,9 +41,9 @@ TEST_F(EngineTest, PairCoordinatesOnSecondArrival) {
   EXPECT_EQ(delivered_[0].QueryIds(), (std::vector<QueryId>{*a, *b}));
   EXPECT_FALSE(engine.IsPending(*a));
   EXPECT_FALSE(engine.IsPending(*b));
-  EXPECT_TRUE(ValidateSolution(db_, engine.queries(),
-                               SolutionFromDelivery(delivered_[0]))
-                  .ok());
+  auto solution = SolutionFromDelivery(engine.queries(), delivered_[0]);
+  ASSERT_TRUE(solution.ok()) << solution.status();
+  EXPECT_TRUE(ValidateSolution(db_, engine.queries(), *solution).ok());
 }
 
 TEST_F(EngineTest, SelfContainedQueryRetiresImmediately) {
@@ -116,21 +116,6 @@ TEST_F(EngineTest, ParseErrorsSurface) {
   auto bad = engine.Submit("not a query at all");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(engine.stats().submitted, 0u);
-}
-
-TEST_F(EngineTest, ProgrammaticSubmission) {
-  CoordinationEngine engine(&db_);
-  Capture(&engine);
-  QuerySet* master = engine.mutable_queries();
-  EntangledQuery q;
-  q.name = "built";
-  VarId w = master->NewVar("w");
-  q.head.emplace_back("K", std::vector<Term>{Term::Var(w)});
-  q.body.emplace_back(
-      "Users", std::vector<Term>{Term::Var(w), Term::Str("user3")});
-  QueryId id = engine.SubmitQuery(std::move(q));
-  EXPECT_EQ(delivered_.size(), 1u);
-  EXPECT_FALSE(engine.IsPending(id));
 }
 
 TEST_F(EngineTest, StatsTrackLifecycle) {

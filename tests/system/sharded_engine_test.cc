@@ -7,12 +7,13 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/delivery.h"
 #include "core/query.h"
-#include "db/binding.h"
 #include "system/engine.h"
 #include "system/sharded_engine.h"
 #include "workload/social_data.h"
@@ -23,7 +24,16 @@ namespace {
 /// One recorded delivery, in global ids.
 struct LoggedDelivery {
   std::vector<QueryId> queries;
-  Binding assignment;
+  /// Each participant's witness, in participant order.
+  std::vector<std::vector<std::pair<std::string, Value>>> witnesses;
+
+  static LoggedDelivery Of(const Delivery& delivery) {
+    LoggedDelivery logged{delivery.QueryIds(), {}};
+    for (const DeliveredQuery& q : delivery.queries) {
+      logged.witnesses.push_back(q.witness);
+    }
+    return logged;
+  }
 };
 
 class ShardedEngineTest : public ::testing::Test {
@@ -60,7 +70,7 @@ TEST_F(ShardedEngineTest, MatchesSingleEngineByteForByte) {
   auto drive = [&](CoordinationService* engine,
                    std::vector<LoggedDelivery>* log) {
     engine->set_delivery_callback([log](const Delivery& delivery) {
-      log->push_back(LoggedDelivery{delivery.QueryIds(), delivery.witness});
+      log->push_back(LoggedDelivery::Of(delivery));
     });
     // Disjoint pairs under eager evaluation.
     for (const std::string& text : Pair("P")) {
@@ -103,7 +113,7 @@ TEST_F(ShardedEngineTest, MatchesSingleEngineByteForByte) {
     for (size_t i = 0; i < single_log.size(); ++i) {
       EXPECT_EQ(single_log[i].queries, sharded_log[i].queries)
           << "delivery " << i << " at shard_threads=" << shard_threads;
-      EXPECT_EQ(single_log[i].assignment, sharded_log[i].assignment)
+      EXPECT_EQ(single_log[i].witnesses, sharded_log[i].witnesses)
           << "witness " << i << " at shard_threads=" << shard_threads;
     }
     EXPECT_EQ(single.PendingQueries(), sharded.PendingQueries());

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "db/binding.h"
+#include "api/delivery.h"
 #include "system/engine.h"
 #include "system/sharded_engine.h"
 #include "workload/social_data.h"
@@ -25,7 +25,16 @@ namespace {
 /// One recorded delivery, in global ids.
 struct LoggedDelivery {
   std::vector<QueryId> queries;
-  Binding assignment;
+  /// Each participant's witness, in participant order.
+  std::vector<std::vector<std::pair<std::string, Value>>> witnesses;
+
+  static LoggedDelivery Of(const Delivery& delivery) {
+    LoggedDelivery logged{delivery.QueryIds(), {}};
+    for (const DeliveredQuery& q : delivery.queries) {
+      logged.witnesses.push_back(q.witness);
+    }
+    return logged;
+  }
 };
 
 class ShardedMergeTest : public ::testing::Test {
@@ -83,7 +92,7 @@ TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
   auto drive = [&](CoordinationService* engine,
                    std::vector<LoggedDelivery>* log) {
     engine->set_delivery_callback([log](const Delivery& delivery) {
-      log->push_back(LoggedDelivery{delivery.QueryIds(), delivery.witness});
+      log->push_back(LoggedDelivery::Of(delivery));
     });
     engine->set_evaluate_every(0);
     // Interleaved arrivals: shard S gets global ids {0,3,6,7}, shard R
@@ -144,7 +153,7 @@ TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
     for (size_t i = 0; i < single_log.size(); ++i) {
       EXPECT_EQ(single_log[i].queries, sharded_log[i].queries)
           << "delivery " << i << " at " << which;
-      EXPECT_EQ(single_log[i].assignment, sharded_log[i].assignment)
+      EXPECT_EQ(single_log[i].witnesses, sharded_log[i].witnesses)
           << "witness " << i << " at " << which;
     }
     EXPECT_EQ(single.PendingQueries(), sharded.PendingQueries()) << which;
@@ -168,10 +177,10 @@ TEST_F(ShardedMergeTest, KWayMergeWithInterleavedIdsMatchesSingleEngine) {
 }
 
 /// A delivery carved from a survivor shard after a small-into-large
-/// merge mixes native and migrated queries, whose local variables are
-/// no longer in global order.  The translated Delivery must still list
-/// witness_names ascending and aligned with the witness, name only
-/// global variables, and equal the single engine's event field by field.
+/// merge mixes native and migrated queries, whose local ids and
+/// variables are no longer in global order.  The translated Delivery
+/// must still equal the single engine's event field by field, each
+/// participant's witness included.
 TEST_F(ShardedMergeTest, SurvivorDeliveryIsTranslatedWhole) {
   const std::vector<std::string> texts = {
       Stuck("S", "T0"),
@@ -194,6 +203,8 @@ TEST_F(ShardedMergeTest, SurvivorDeliveryIsTranslatedWhole) {
   };
   CoordinationEngine single(&db_);
   const std::vector<Delivery> expected = run(&single);
+  ASSERT_EQ(expected.size(), 1u);
+  const Delivery& e = expected.front();
   for (size_t shard_threads : {size_t{1}, size_t{4}}) {
     ShardedEngineOptions options;
     options.shard_threads = shard_threads;
@@ -201,37 +212,9 @@ TEST_F(ShardedMergeTest, SurvivorDeliveryIsTranslatedWhole) {
     const std::vector<Delivery> got = run(&sharded);
     const std::string which = "threads=" + std::to_string(shard_threads);
     ASSERT_EQ(sharded.sharded_stats().queries_migrated, 1u) << which;
-    ASSERT_EQ(expected.size(), 1u);
     ASSERT_EQ(got.size(), 1u) << which;
     const Delivery& d = got.front();
     EXPECT_EQ(d.QueryIds(), (std::vector<QueryId>{1, 2, 4})) << which;
-
-    std::vector<std::pair<VarId, std::string>> witness;
-    std::vector<VarId> witness_vars;
-    d.witness.ForEach([&](VarId var, const Value& value) {
-      witness.emplace_back(var, value.ToString(/*quote=*/true));
-      witness_vars.push_back(var);
-    });
-    std::vector<VarId> named_vars;
-    for (const auto& [var, name] : d.witness_names) named_vars.push_back(var);
-    EXPECT_TRUE(std::is_sorted(named_vars.begin(), named_vars.end()))
-        << which;
-    EXPECT_EQ(named_vars, witness_vars) << which;
-    for (const DeliveredQuery& q : d.queries) {
-      for (const Atom& answer : q.answers) {
-        for (const Term& term : answer.terms) {
-          EXPECT_TRUE(term.is_constant() || d.witness.Find(term.var()))
-              << which << " " << answer.ToString();
-        }
-      }
-    }
-
-    const Delivery& e = expected.front();
-    std::vector<std::pair<VarId, std::string>> expected_witness;
-    e.witness.ForEach([&](VarId var, const Value& value) {
-      expected_witness.emplace_back(var, value.ToString(/*quote=*/true));
-    });
-    EXPECT_EQ(witness, expected_witness) << which;
     EXPECT_EQ(d.sequence, e.sequence) << which;
     ASSERT_EQ(d.queries.size(), e.queries.size()) << which;
     for (size_t i = 0; i < d.queries.size(); ++i) {
@@ -239,8 +222,15 @@ TEST_F(ShardedMergeTest, SurvivorDeliveryIsTranslatedWhole) {
       EXPECT_EQ(d.queries[i].name, e.queries[i].name) << which;
       EXPECT_EQ(d.queries[i].text, e.queries[i].text) << which;
       EXPECT_EQ(d.queries[i].answers, e.queries[i].answers) << which;
+      EXPECT_EQ(d.queries[i].witness, e.queries[i].witness) << which;
     }
-    EXPECT_EQ(d.witness_names, e.witness_names) << which;
+  }
+  // Each participant's witness binds exactly its own variable.
+  ASSERT_EQ(e.queries.size(), 3u);
+  const char* names[] = {"x", "y", "z"};
+  for (size_t i = 0; i < e.queries.size(); ++i) {
+    ASSERT_EQ(e.queries[i].witness.size(), 1u) << i;
+    EXPECT_EQ(e.queries[i].witness[0].first, names[i]);
   }
 }
 

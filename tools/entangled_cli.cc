@@ -327,9 +327,9 @@ bool LoadInputs(const CliOptions& options, Database* db, QuerySet* queries) {
 }
 
 /// Re-renders each parsed query in the paper's syntax — the per-query
-/// texts a session submits one at a time (constants are quoted and
-/// parser-produced variable names are lowercase, so rendering
-/// round-trips through the parser).
+/// texts a session submits one at a time.  Constants are quoted,
+/// parser-produced variable names are lowercase and wildcards render as
+/// `_`, so each text parses back to the query it came from.
 std::vector<std::string> QueryTexts(const QuerySet& queries) {
   std::vector<std::string> texts;
   texts.reserve(queries.size());
@@ -340,12 +340,14 @@ std::vector<std::string> QueryTexts(const QuerySet& queries) {
 }
 
 /// Re-validates a delivered event against Definition 1 using `master`,
-/// a query set in the service's id and variable namespace; returns
-/// false (printing the failure) on a solver bug.
+/// a query set in the service's id namespace; returns false (printing
+/// the failure) on a solver bug.
 bool ValidateDelivered(const Database& db, const QuerySet& master,
                        const Delivery& delivery) {
-  if (Status valid = ValidateSolution(db, master, SolutionFromDelivery(delivery));
-      !valid.ok()) {
+  auto solution = SolutionFromDelivery(master, delivery);
+  Status valid = solution.ok() ? ValidateSolution(db, master, *solution)
+                               : solution.status();
+  if (!valid.ok()) {
     std::cerr << "INTERNAL ERROR: engine delivered an invalid solution: "
               << valid << "\n";
     return false;
