@@ -1,14 +1,28 @@
 #include "core/parser.h"
 
-#include <cctype>
-#include <unordered_map>
-
-#include "common/strings.h"
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <functional>
+#include <new>
+#include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 namespace entangled {
 namespace {
 
-enum class TokenKind {
+// Character classes of the "C" locale, spelled out so the lexer's inner
+// loops make no library calls.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+bool IsAlpha(char c) { return IsLower(c) || (c >= 'A' && c <= 'Z'); }
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+
+enum class TokenKind : uint8_t {
   kIdent,
   kNumber,
   kString,
@@ -23,9 +37,12 @@ enum class TokenKind {
   kEnd,
 };
 
+/// A token's `text` is a view into the parsed text: the spelling of an
+/// identifier, number or punctuation mark, and the contents of a string
+/// literal without its quotes.  No token owns storage.
 struct Token {
   TokenKind kind;
-  std::string text;
+  std::string_view text;
   int line;
   int column;
 };
@@ -48,34 +65,103 @@ const char* TokenKindName(TokenKind kind) {
   return "?";
 }
 
+/// "<kind> '<text>'" (or just "<kind>" for empty text): how a syntax
+/// error names the token it found.
+std::string Describe(const Token& token) {
+  std::string out = TokenKindName(token.kind);
+  if (!token.text.empty()) {
+    out += " '";
+    out.append(token.text);
+    out += "'";
+  }
+  return out;
+}
+
+/// The tokens of one text.  Up to kInlineTokens of them (enough for any
+/// perfbench text) live inline, on the parsing thread's stack; a longer
+/// text spills into one heap vector.
+class TokenList {
+ public:
+  TokenList() = default;
+  TokenList(const TokenList&) = delete;
+  TokenList& operator=(const TokenList&) = delete;
+
+  void push_back(const Token& token) {
+    if (size_ == capacity_) Spill();
+    new (&data_[size_++].token) Token(token);
+  }
+  size_t size() const { return size_; }
+  const Token& operator[](size_t i) const { return data_[i].token; }
+
+ private:
+  static constexpr size_t kInlineTokens = 256;
+
+  // A slot's token is constructed only when pushed, so a short text
+  // pays for the tokens it has, not for kInlineTokens of them.
+  union Slot {
+    Slot() {}
+    Token token;
+  };
+
+  void Spill() {
+    std::vector<Slot> grown(2 * capacity_);
+    std::copy(data_, data_ + size_, grown.begin());
+    heap_.swap(grown);
+    data_ = heap_.data();
+    capacity_ = heap_.size();
+  }
+
+  Slot inline_[kInlineTokens];
+  std::vector<Slot> heap_;
+  Slot* data_ = inline_;
+  size_t size_ = 0;
+  size_t capacity_ = kInlineTokens;
+};
+
+/// Splits a whole text into tokens before any parsing, so a lexical
+/// error anywhere in the text is the one reported, ahead of any syntax
+/// error.
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
+  Status Tokenize(TokenList* tokens) {
     while (true) {
       SkipWhitespaceAndComments();
       if (pos_ >= text_.size()) break;
-      char c = text_[pos_];
-      int line = line_, column = column_;
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        tokens.push_back({TokenKind::kIdent, LexIdent(), line, column});
-      } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-                 (c == '-' && pos_ + 1 < text_.size() &&
-                  std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-        tokens.push_back({TokenKind::kNumber, LexNumber(), line, column});
+      const size_t start = pos_;
+      const int column = Column();
+      const char c = text_[pos_];
+      TokenKind kind;
+      if (IsAlpha(c) || c == '_') {
+        kind = TokenKind::kIdent;
+        ++pos_;
+        while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
+      } else if (IsDigit(c) || (c == '-' && pos_ + 1 < text_.size() &&
+                                IsDigit(text_[pos_ + 1]))) {
+        kind = TokenKind::kNumber;
+        ++pos_;
+        while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
       } else if (c == '\'' || c == '"') {
-        auto text = LexString();
-        if (!text.ok()) return text.status();
-        tokens.push_back({TokenKind::kString, *text, line, column});
+        size_t close = pos_ + 1;
+        while (close < text_.size() && text_[close] != c &&
+               text_[close] != '\n') {
+          ++close;
+        }
+        if (close >= text_.size() || text_[close] != c) {
+          return Status::InvalidArgument("line ", line_, ":", column,
+                                         ": unterminated string literal");
+        }
+        pos_ = close + 1;
+        tokens->push_back({TokenKind::kString,
+                           text_.substr(start + 1, close - start - 1), line_,
+                           column});
+        continue;
       } else if (c == ':' && pos_ + 1 < text_.size() &&
                  text_[pos_ + 1] == '-') {
-        Advance();
-        Advance();
-        tokens.push_back({TokenKind::kColonDash, ":-", line, column});
+        kind = TokenKind::kColonDash;
+        pos_ += 2;
       } else {
-        TokenKind kind;
         switch (c) {
           case '{': kind = TokenKind::kLBrace; break;
           case '}': kind = TokenKind::kRBrace; break;
@@ -85,109 +171,128 @@ class Lexer {
           case ':': kind = TokenKind::kColon; break;
           case '.': kind = TokenKind::kDot; break;
           default:
-            return Status::InvalidArgument("line ", line_, ":", column_,
+            return Status::InvalidArgument("line ", line_, ":", column,
                                            ": unexpected character '", c,
                                            "'");
         }
-        Advance();
-        tokens.push_back({kind, std::string(1, c), line, column});
+        ++pos_;
       }
+      tokens->push_back(
+          {kind, text_.substr(start, pos_ - start), line_, column});
     }
-    tokens.push_back({TokenKind::kEnd, "", line_, column_});
-    return tokens;
+    tokens->push_back({TokenKind::kEnd, {}, line_, Column()});
+    return Status::OK();
   }
 
  private:
-  void Advance() {
-    if (text_[pos_] == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    ++pos_;
-  }
+  // Columns count bytes from 1 at the start of each line.
+  int Column() const { return static_cast<int>(pos_ - line_start_ + 1); }
 
+  // Newlines only ever occur here: comments stop before one, and a
+  // string literal that reaches one is an error.
   void SkipWhitespaceAndComments() {
     while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
+      const char c = text_[pos_];
+      if (IsSpace(c)) {
+        ++pos_;
+        if (c == '\n') {
+          ++line_;
+          line_start_ = pos_;
+        }
       } else if (c == '%' || (c == '/' && pos_ + 1 < text_.size() &&
                               text_[pos_ + 1] == '/')) {
-        while (pos_ < text_.size() && text_[pos_] != '\n') Advance();
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
       } else {
         break;
       }
     }
   }
 
-  std::string LexIdent() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      Advance();
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  std::string LexNumber() {
-    size_t start = pos_;
-    if (text_[pos_] == '-') Advance();
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      Advance();
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  Result<std::string> LexString() {
-    char quote = text_[pos_];
-    int line = line_, column = column_;
-    Advance();
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != quote) {
-      if (text_[pos_] == '\n') {
-        return Status::InvalidArgument("line ", line, ":", column,
-                                       ": unterminated string literal");
-      }
-      value.push_back(text_[pos_]);
-      Advance();
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument("line ", line, ":", column,
-                                     ": unterminated string literal");
-    }
-    Advance();  // closing quote
-    return value;
-  }
-
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
+  size_t line_start_ = 0;
   int line_ = 1;
-  int column_ = 1;
+};
+
+/// One query's variables, looked up by spelling: an open-addressed table
+/// of the VarIds this query allocated, hashed on the name and compared
+/// against the name the set stores.  The table starts inline and moves
+/// to the heap only for a query with more than kInlineSlots / 2
+/// distinct variables, so lookups stay O(1) at any size.
+class VarScope {
+ public:
+  explicit VarScope(QuerySet* set) : set_(set) { Clear(); }
+  VarScope(const VarScope&) = delete;
+  VarScope& operator=(const VarScope&) = delete;
+
+  /// Forgets every variable (the next query starts a fresh scope).
+  void Clear() {
+    heap_ = std::vector<VarId>();
+    slots_ = inline_;
+    mask_ = kInlineSlots - 1;
+    size_ = 0;
+    std::fill_n(slots_, kInlineSlots, kEmpty);
+  }
+
+  /// The variable spelled `name`, allocated in the set on first use.
+  VarId Lookup(std::string_view name) {
+    size_t i = Hash(name) & mask_;
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
+      if (set_->var_name(slots_[i]) == name) return slots_[i];
+    }
+    const VarId v = set_->NewVar(std::string(name));
+    slots_[i] = v;
+    if (2 * ++size_ > mask_ + 1) Grow();
+    return v;
+  }
+
+ private:
+  static constexpr size_t kInlineSlots = 16;  // a power of two
+  static constexpr VarId kEmpty = -1;
+
+  static size_t Hash(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+  }
+
+  void Grow() {
+    std::vector<VarId> grown(2 * (mask_ + 1), kEmpty);
+    const size_t mask = grown.size() - 1;
+    for (size_t i = 0; i <= mask_; ++i) {
+      if (slots_[i] == kEmpty) continue;
+      size_t j = Hash(set_->var_name(slots_[i])) & mask;
+      while (grown[j] != kEmpty) j = (j + 1) & mask;
+      grown[j] = slots_[i];
+    }
+    heap_.swap(grown);
+    slots_ = heap_.data();
+    mask_ = mask;
+  }
+
+  QuerySet* set_;
+  VarId inline_[kInlineSlots];
+  std::vector<VarId> heap_;
+  VarId* slots_ = inline_;
+  size_t mask_ = kInlineSlots - 1;
+  size_t size_ = 0;
 };
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, QuerySet* set)
-      : tokens_(std::move(tokens)), set_(set) {}
+  Parser(const TokenList& tokens, QuerySet* set)
+      : tokens_(tokens), set_(set), scope_(set) {}
 
-  Result<std::vector<QueryId>> ParseProgram() {
-    std::vector<QueryId> ids;
+  /// Parses every query, appending their ids to `*ids` when given.
+  Status ParseProgram(std::vector<QueryId>* ids) {
     while (Peek().kind != TokenKind::kEnd) {
-      auto id = ParseOneQuery();
-      if (!id.ok()) return id.status();
-      ids.push_back(*id);
+      ENTANGLED_RETURN_IF_ERROR(ParseOneQuery(ids));
     }
-    return ids;
+    return Status::OK();
   }
 
  private:
   const Token& Peek(size_t ahead = 0) const {
-    size_t index = pos_ + ahead;
-    return index < tokens_.size() ? tokens_[index] : tokens_.back();
+    const size_t index = pos_ + ahead;
+    return tokens_[index < tokens_.size() ? index : tokens_.size() - 1];
   }
   const Token& Next() {
     const Token& token = Peek();
@@ -197,19 +302,51 @@ class Parser {
   Status Expect(TokenKind kind, const char* context) {
     const Token& token = Peek();
     if (token.kind != kind) {
-      return Status::InvalidArgument(
-          "line ", token.line, ":", token.column, ": expected ",
-          TokenKindName(kind), " ", context, ", found ",
-          TokenKindName(token.kind),
-          token.text.empty() ? "" : " '" + token.text + "'");
+      return Status::InvalidArgument("line ", token.line, ":", token.column,
+                                     ": expected ", TokenKindName(kind), " ",
+                                     context, ", found ", Describe(token));
     }
     ++pos_;
     return Status::OK();
   }
 
-  Result<QueryId> ParseOneQuery() {
+  /// Atoms in the list starting at the cursor: its '(' tokens before the
+  /// token that ends any atom list.  Exact for well-formed input; only a
+  /// capacity hint otherwise.
+  size_t CountAtoms() const {
+    size_t atoms = 0;
+    for (size_t i = pos_; i < tokens_.size(); ++i) {
+      switch (tokens_[i].kind) {
+        case TokenKind::kLParen: ++atoms; break;
+        case TokenKind::kLBrace:
+        case TokenKind::kRBrace:
+        case TokenKind::kColonDash:
+        case TokenKind::kDot:
+        case TokenKind::kEnd: return atoms;
+        default: break;
+      }
+    }
+    return atoms;
+  }
+
+  /// Terms in the term list starting at the cursor (same contract).
+  size_t CountTerms() const {
+    size_t terms = 0;
+    for (size_t i = pos_; i < tokens_.size(); ++i) {
+      const TokenKind kind = tokens_[i].kind;
+      if (kind == TokenKind::kComma) continue;
+      if (kind != TokenKind::kIdent && kind != TokenKind::kNumber &&
+          kind != TokenKind::kString) {
+        break;
+      }
+      ++terms;
+    }
+    return terms;
+  }
+
+  Status ParseOneQuery(std::vector<QueryId>* ids) {
     EntangledQuery query;
-    vars_.clear();
+    scope_.Clear();
     // Optional "name:" prefix.
     if (Peek().kind == TokenKind::kIdent &&
         Peek(1).kind == TokenKind::kColon) {
@@ -219,8 +356,7 @@ class Parser {
     ENTANGLED_RETURN_IF_ERROR(
         Expect(TokenKind::kLBrace, "to open the postcondition list"));
     if (Peek().kind != TokenKind::kRBrace) {
-      ENTANGLED_RETURN_IF_ERROR(
-          ParseAtomList(&query.postconditions));
+      ENTANGLED_RETURN_IF_ERROR(ParseAtomList(&query.postconditions));
     }
     ENTANGLED_RETURN_IF_ERROR(
         Expect(TokenKind::kRBrace, "to close the postcondition list"));
@@ -235,10 +371,13 @@ class Parser {
     if (query.name.empty()) {
       query.name = "q" + std::to_string(set_->size());
     }
-    return set_->AddQuery(std::move(query));
+    const QueryId id = set_->AddQuery(std::move(query));
+    if (ids != nullptr) ids->push_back(id);
+    return Status::OK();
   }
 
   Status ParseAtomList(std::vector<Atom>* atoms) {
+    atoms->reserve(CountAtoms());
     while (true) {
       ENTANGLED_RETURN_IF_ERROR(ParseAtom(atoms));
       if (Peek().kind != TokenKind::kComma) return Status::OK();
@@ -250,91 +389,117 @@ class Parser {
     const Token& name = Peek();
     ENTANGLED_RETURN_IF_ERROR(
         Expect(TokenKind::kIdent, "as a relation name"));
-    Atom atom;
-    atom.relation = name.text;
     ENTANGLED_RETURN_IF_ERROR(
         Expect(TokenKind::kLParen, "after the relation name"));
+    Atom& atom = atoms->emplace_back();
+    atom.relation = name.text;
     if (Peek().kind != TokenKind::kRParen) {
+      atom.terms.reserve(CountTerms());
       while (true) {
-        auto term = ParseTerm();
-        if (!term.ok()) return term.status();
-        atom.terms.push_back(*term);
+        ENTANGLED_RETURN_IF_ERROR(ParseTerm(&atom.terms.emplace_back()));
         if (Peek().kind != TokenKind::kComma) break;
         ++pos_;  // ','
       }
     }
-    ENTANGLED_RETURN_IF_ERROR(
-        Expect(TokenKind::kRParen, "to close the atom"));
-    atoms->push_back(std::move(atom));
-    return Status::OK();
+    return Expect(TokenKind::kRParen, "to close the atom");
   }
 
-  Result<Term> ParseTerm() {
+  Status ParseTerm(Term* term) {
     const Token& token = Next();
     switch (token.kind) {
-      case TokenKind::kNumber:
-        return Term::Int(std::stoll(token.text));
+      case TokenKind::kNumber: {
+        int64_t value = 0;
+        const char* last = token.text.data() + token.text.size();
+        const auto [end, error] =
+            std::from_chars(token.text.data(), last, value);
+        if (error != std::errc() || end != last) {
+          return Status::InvalidArgument(
+              "line ", token.line, ":", token.column,
+              ": integer literal out of the signed 64-bit range");
+        }
+        *term = Term::Int(value);
+        return Status::OK();
+      }
       case TokenKind::kString:
-        return Term::Str(token.text);
-      case TokenKind::kIdent: {
+        *term = Term::Const(Value::Str(token.text));
+        return Status::OK();
+      case TokenKind::kIdent:
         if (token.text == "_") {
           // Fresh anonymous variable per occurrence.
-          return Term::Var(set_->NewVar("_" + std::to_string(anon_++)));
+          *term = Term::Var(set_->NewVar("_" + std::to_string(anon_++)));
+        } else if (IsLower(token.text[0])) {
+          *term = Term::Var(scope_.Lookup(token.text));
+        } else {
+          *term = Term::Const(Value::Str(token.text));
         }
-        char first = token.text[0];
-        if (std::islower(static_cast<unsigned char>(first))) {
-          auto [it, inserted] = vars_.try_emplace(token.text, 0);
-          if (inserted) it->second = set_->NewVar(token.text);
-          return Term::Var(it->second);
-        }
-        return Term::Str(token.text);
-      }
+        return Status::OK();
       default:
         return Status::InvalidArgument(
             "line ", token.line, ":", token.column,
-            ": expected a term, found ", TokenKindName(token.kind),
-            token.text.empty() ? "" : " '" + token.text + "'");
+            ": expected a term, found ", Describe(token));
     }
   }
 
-  std::vector<Token> tokens_;
+  const TokenList& tokens_;
   size_t pos_ = 0;
   QuerySet* set_;
-  std::unordered_map<std::string, VarId> vars_;  // per-query scope
+  VarScope scope_;  // per-query scope
   int anon_ = 0;
 };
+
+/// Parses every query of `text` into `set`; appends their ids to `*ids`
+/// when given.
+Status Parse(std::string_view text, QuerySet* set,
+             std::vector<QueryId>* ids) {
+  TokenList tokens;
+  ENTANGLED_RETURN_IF_ERROR(Lexer(text).Tokenize(&tokens));
+  return Parser(tokens, set).ParseProgram(ids);
+}
 
 }  // namespace
 
 Result<std::vector<QueryId>> ParseQueries(const std::string& text,
                                           QuerySet* set) {
   ENTANGLED_CHECK(set != nullptr);
-  Lexer lexer(text);
-  auto tokens = lexer.Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value(), set);
-  return parser.ParseProgram();
+  std::vector<QueryId> ids;
+  ENTANGLED_RETURN_IF_ERROR(Parse(text, set, &ids));
+  return ids;
 }
 
 Result<QueryId> ParseQuery(const std::string& text, QuerySet* set) {
   ENTANGLED_CHECK(set != nullptr);
   // Parse once into a staging set: a text holding zero or several
   // queries — or one that fails mid-parse after an earlier query
-  // succeeded — must not leak partial parses into `set`.  Adopting the
-  // validated query reproduces the ids a direct parse would allocate
-  // (QuerySet::AdoptQueries), and an empty target takes the set whole.
+  // succeeded — must not leak partial parses into `set`.  An empty
+  // target takes the staging set whole.
   QuerySet staging;
-  auto ids = ParseQueries(text, &staging);
-  if (!ids.ok()) return ids.status();
-  if (ids->size() != 1) {
+  ENTANGLED_RETURN_IF_ERROR(Parse(text, &staging, nullptr));
+  if (staging.size() != 1) {
     return Status::InvalidArgument("expected exactly one query, found ",
-                                   ids->size());
+                                   staging.size());
   }
   if (set->empty() && set->num_vars() == 0) {
     *set = std::move(staging);
     return 0;
   }
-  return set->AdoptAll(staging).front();
+  // The parser allocates the staging variables in first-occurrence
+  // order over (postconditions, head, body), which is the order
+  // QuerySet::AdoptQueries allocates in.  So adopting the query just
+  // offsets each variable by the target's count, and the query moves.
+  const VarId base = static_cast<VarId>(set->num_vars());
+  for (VarId v = 0; v < static_cast<VarId>(staging.num_vars()); ++v) {
+    set->NewVar(staging.var_name(v));
+  }
+  EntangledQuery& query = staging.mutable_query(0);
+  for (std::vector<Atom>* atoms :
+       {&query.postconditions, &query.head, &query.body}) {
+    for (Atom& atom : *atoms) {
+      for (Term& term : atom.terms) {
+        if (term.is_variable()) term = Term::Var(base + term.var());
+      }
+    }
+  }
+  return set->AddQuery(std::move(query));
 }
 
 }  // namespace entangled

@@ -22,14 +22,18 @@ namespace entangled {
 ///    a bare `_` is a fresh anonymous variable at each occurrence.
 ///  * Identifiers starting with an uppercase letter are string
 ///    constants when they appear as terms (Chris, Zurich); quoted
-///    strings ('LAX' or "LAX") and integers are constants too.
+///    strings ('LAX' or "LAX", no escapes) and integers are constants
+///    too.  An integer outside int64_t is an error.
 ///  * The identifier before `(` is a relation name (any case).
 ///  * Postconditions `{...}` and body may be empty; the head may not.
 ///  * `%` and `//` start comments running to end of line.
 ///
 /// Parsed queries are appended to `*set`; the returned ids are in input
 /// order.  On error, nothing useful remains in `*set` — parse into a
-/// scratch set when input is untrusted.
+/// scratch set when input is untrusted.  The whole text is lexed before
+/// it is parsed, so a lexical error anywhere wins over a syntax error.
+/// Tokens are views into `text`, so a parse allocates little beyond
+/// what the parsed queries keep in `*set`.
 Result<std::vector<QueryId>> ParseQueries(const std::string& text,
                                           QuerySet* set);
 

@@ -39,9 +39,17 @@ const std::string& QuerySet::var_name(VarId v) const {
 QueryId QuerySet::AddQuery(EntangledQuery query) {
   query.id = static_cast<QueryId>(queries_.size());
   // Every variable mentioned must have been allocated by this set.
-  for (VarId v : query.Variables()) {
-    ENTANGLED_CHECK(v >= 0 && static_cast<size_t>(v) < var_names_.size())
-        << "query " << query.name << " uses foreign variable " << v;
+  for (const std::vector<Atom>* atoms :
+       {&query.postconditions, &query.head, &query.body}) {
+    for (const Atom& atom : *atoms) {
+      for (const Term& term : atom.terms) {
+        if (term.is_constant()) continue;
+        const VarId v = term.var();
+        ENTANGLED_CHECK(v >= 0 &&
+                        static_cast<size_t>(v) < var_names_.size())
+            << "query " << query.name << " uses foreign variable " << v;
+      }
+    }
   }
   queries_by_name_.emplace(query.name, query.id);  // first added wins
   queries_.push_back(std::move(query));
@@ -150,7 +158,15 @@ std::vector<QueryId> QuerySet::AdoptAll(const QuerySet& src) {
 }
 
 std::string QuerySet::TermToString(const Term& term) const {
-  if (term.is_constant()) return term.constant().ToString(/*quote=*/true);
+  if (term.is_constant()) {
+    const Value& value = term.constant();
+    if (value.is_int()) return value.ToString();
+    // The grammar has no escapes, so a string holding `'` (which then
+    // cannot also hold `"`: no parsed value has both) takes `"`.
+    const std::string& s = value.AsString();
+    const char quote = s.find('\'') == std::string::npos ? '\'' : '"';
+    return quote + s + quote;
+  }
   const std::string& name = var_name(term.var());
   // The parser names each `_` wildcard `_0`, `_1`, ...; printed back as
   // `_N` it would re-parse as a string constant.  Each wildcard occurs

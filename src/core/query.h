@@ -116,7 +116,9 @@ class QuerySet {
   /// Renders a term/atom/query with variable display names
   /// ("R('C', x1)" instead of "R('C', ?3)"); a variable whose name
   /// starts with `_` (the parser's wildcards) renders as `_`, so it
-  /// re-parses as a fresh variable rather than a string constant.
+  /// re-parses as a fresh variable rather than a string constant.  A
+  /// string constant is quoted with `'`, or with `"` when it holds a
+  /// `'` ("it's"), so every parsed query re-parses to itself.
   std::string TermToString(const Term& term) const;
   std::string AtomToString(const Atom& atom) const;
   std::string AtomListToString(const std::vector<Atom>& atoms,

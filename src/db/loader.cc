@@ -1,8 +1,11 @@
 #include "db/loader.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 namespace entangled {
 namespace {
@@ -78,13 +81,23 @@ class Cursor {
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '-' && pos_ + 1 < text_.size() &&
          std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-      size_t start = pos_;
+      const size_t start = pos_;
+      const int line = line_, column = column_;
       if (c == '-') Advance();
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
         Advance();
       }
-      return Value::Int(std::stoll(text_.substr(start, pos_ - start)));
+      int64_t value = 0;
+      const char* first = text_.data() + start;
+      const char* last = text_.data() + pos_;
+      const auto [end, error] = std::from_chars(first, last, value);
+      if (error != std::errc() || end != last) {
+        return Status::InvalidArgument(
+            "line ", line, ":", column,
+            ": integer literal out of the signed 64-bit range");
+      }
+      return Value::Int(value);
     }
     auto ident = Identifier();
     if (!ident.ok()) return ident.status();

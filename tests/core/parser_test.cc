@@ -1,5 +1,6 @@
 #include "core/parser.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,62 @@ TEST(ParserTest, ErrorsCarryPositions) {
             std::string::npos);
 }
 
+TEST(ParserTest, OutOfRangeIntegerLiteralIsAnError) {
+  QuerySet set;
+  auto result = ParseQuery("q: { } H(99999999999999999999) :- .", &set);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_EQ(result.status().message(),
+            "line 1:10: integer literal out of the signed 64-bit range");
+  EXPECT_TRUE(set.empty());
+
+  auto below = ParseQuery("q: { } H(\n -9223372036854775809) :- .", &set);
+  ASSERT_FALSE(below.ok());
+  EXPECT_EQ(below.status().message(),
+            "line 2:2: integer literal out of the signed 64-bit range");
+
+  auto bounds = ParseQuery(
+      "q: { } H(9223372036854775807, -9223372036854775808, -0, 007) :- .",
+      &set);
+  ASSERT_TRUE(bounds.ok()) << bounds.status();
+  const Atom& head = set.query(*bounds).head[0];
+  EXPECT_EQ(head.terms[0], Term::Int(INT64_MAX));
+  EXPECT_EQ(head.terms[1], Term::Int(INT64_MIN));
+  EXPECT_EQ(head.terms[2], Term::Int(0));
+  EXPECT_EQ(head.terms[3], Term::Int(7));
+}
+
+TEST(ParserTest, ManyDistinctVariablesKeepOneIdPerName) {
+  // Enough variables to move the per-query scope off its inline table
+  // and enough tokens to spill the lexer's inline token storage.
+  constexpr int kVars = 150;
+  std::string head, body;
+  for (int i = 0; i < kVars; ++i) {
+    head += (i ? ", v" : "v") + std::to_string(i);
+    body += (i ? ", v" : "v") + std::to_string(kVars - 1 - i);
+  }
+  QuerySet set;
+  auto ids = ParseQueries(
+      "big: { } H(" + head + ") :- D(" + body + ").\n"
+      "next: { } H(v0, v1) :- D(v1, v0).",
+      &set);
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  const EntangledQuery& big = set.query((*ids)[0]);
+  ASSERT_EQ(big.head[0].arity(), static_cast<size_t>(kVars));
+  for (int i = 0; i < kVars; ++i) {
+    const VarId v = big.head[0].terms[static_cast<size_t>(i)].var();
+    EXPECT_EQ(v, i);
+    EXPECT_EQ(set.var_name(v), "v" + std::to_string(i));
+    EXPECT_EQ(big.body[0].terms[static_cast<size_t>(kVars - 1 - i)].var(), v);
+  }
+  // The next query starts a fresh scope: its v0 and v1 are new ids.
+  const EntangledQuery& next = set.query((*ids)[1]);
+  EXPECT_EQ(next.head[0].terms[0].var(), kVars);
+  EXPECT_EQ(next.head[0].terms[1].var(), kVars + 1);
+  EXPECT_EQ(next.body[0].terms[0], next.head[0].terms[1]);
+  EXPECT_EQ(set.num_vars(), static_cast<size_t>(kVars + 2));
+}
+
 TEST(ParserTest, ErrorOnMissingBrace) {
   QuerySet set;
   EXPECT_FALSE(ParseQuery("q: R(x) :- D(x).", &set).ok());
@@ -201,14 +258,17 @@ TEST(ParserTest, RoundTripThroughPrinter) {
   QuerySet set;
   const std::string text =
       "qG: {R('C', y1), Q('C', y2)} R('G', y1), Q('G', y2) :- "
-      "F(y1, 'Paris'), H(y2, 'Paris').";
+      "F(y1, 'Paris'), H(y2, \"Zurich's\"), S(y2, 'say \"hi\"').";
   auto id = ParseQuery(text, &set);
   ASSERT_TRUE(id.ok()) << id.status();
-  // Printing and re-parsing yields a structurally identical query.
+  // A constant holding `'` prints in `"` (the grammar has no escapes).
   std::string printed = set.QueryToString(*id);
+  EXPECT_EQ(printed, text);
+  // Printing and re-parsing yields a structurally identical query.
   QuerySet set2;
   auto id2 = ParseQuery(printed, &set2);
   ASSERT_TRUE(id2.ok()) << id2.status() << " printed: " << printed;
+  EXPECT_EQ(set2.query(*id2).body, set.query(*id).body);
   EXPECT_EQ(set2.QueryToString(*id2), printed);
 }
 

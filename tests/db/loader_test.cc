@@ -1,5 +1,7 @@
 #include "db/loader.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace entangled {
@@ -42,6 +44,23 @@ TEST(LoaderTest, NegativeNumbersAndEmptyRelations) {
           .ok());
   EXPECT_EQ(db.Find("T")->row(0)[0], Value::Int(-5));
   EXPECT_EQ(db.Find("E")->size(), 0u);
+}
+
+TEST(LoaderTest, OutOfRangeIntegerIsAnError) {
+  Database db;
+  Status status =
+      LoadDatabase("relation R(a) {\n  (99999999999999999999)\n}\n", &db);
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(),
+            "line 2:4: integer literal out of the signed 64-bit range");
+
+  Database bounds;
+  ASSERT_TRUE(LoadDatabase("relation R(a) { (9223372036854775807) "
+                           "(-9223372036854775808) }",
+                           &bounds)
+                  .ok());
+  EXPECT_EQ(bounds.Find("R")->row(0)[0], Value::Int(INT64_MAX));
+  EXPECT_EQ(bounds.Find("R")->row(1)[0], Value::Int(INT64_MIN));
 }
 
 TEST(LoaderTest, RepeatedRelationAccumulates) {

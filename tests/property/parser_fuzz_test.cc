@@ -2,6 +2,7 @@
 // corrupt the query set — on arbitrary byte soup, on truncations of
 // valid programs, and on random token streams.
 
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -61,6 +62,54 @@ TEST(ParserFuzzTest, RandomTokenStreamsNeverCrash) {
     auto result = ParseQueries(program, &set);
     if (!result.ok()) {
       EXPECT_TRUE(result.status().IsInvalidArgument());
+    }
+  }
+}
+
+// Whether a signed decimal digit run fits int64_t, decided on the digit
+// string alone (an oracle independent of the parser's conversion).
+bool FitsInt64(const std::string& run) {
+  const bool negative = run[0] == '-';
+  std::string digits = run.substr(negative ? 1 : 0);
+  digits.erase(0, std::min(digits.find_first_not_of('0'), digits.size() - 1));
+  const std::string limit =
+      negative ? "9223372036854775808" : "9223372036854775807";
+  return digits.size() < limit.size() ||
+         (digits.size() == limit.size() && digits <= limit);
+}
+
+TEST(ParserFuzzTest, LongDigitRunsParseOrFailCleanly) {
+  // Signed digit runs of up to 40 digits, spliced into valid texts:
+  // one in range parses to its value, one beyond int64_t is an
+  // InvalidArgument naming its position, and a run spliced at a random
+  // byte offset never aborts.
+  Rng rng(0xD161);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string run = rng.NextBool() ? "-" : "";
+    const size_t length = 1 + rng.NextBounded(40);
+    for (size_t i = 0; i < length; ++i) {
+      run.push_back(static_cast<char>('0' + rng.NextBounded(10)));
+    }
+    QuerySet set;
+    auto result = ParseQuery("q: { R(G, x) } H(x, " + run + ") :- F(x).",
+                             &set);
+    if (FitsInt64(run)) {
+      ASSERT_TRUE(result.ok()) << run << ": " << result.status();
+      const Term& term = set.query(*result).head[0].terms[1];
+      EXPECT_EQ(term.constant().AsInt(), std::stoll(run)) << run;
+    } else {
+      ASSERT_FALSE(result.ok()) << run;
+      EXPECT_EQ(result.status().message(),
+                "line 1:21: integer literal out of the signed 64-bit range")
+          << run;
+    }
+
+    std::string spliced = kValidProgram;
+    spliced.insert(rng.NextBounded(spliced.size() + 1), run);
+    QuerySet scratch;
+    auto any = ParseQueries(spliced, &scratch);
+    if (!any.ok()) {
+      EXPECT_TRUE(any.status().IsInvalidArgument()) << spliced;
     }
   }
 }

@@ -108,12 +108,16 @@ TEST_P(UnifyProperty, ParserPrinterRoundTrip) {
     std::vector<Term> head_terms;
     VarId v0 = builder.Var("v0");
     head_terms.push_back(Term::Var(v0));
+    // String constants include both quote kinds (one per constant: the
+    // grammar has no escapes), so the printer has to pick the quote.
+    const char* const kStrings[] = {"K0", "K1", "it's", "Zurich's",
+                                    "say \"hi\"", "a b"};
     for (size_t i = 1; i < arity; ++i) {
-      head_terms.push_back(rng.NextBool()
-                               ? Term::Int(static_cast<int64_t>(
-                                     rng.NextBounded(10)))
-                               : Term::Str("K" + std::to_string(
-                                               rng.NextBounded(3))));
+      head_terms.push_back(
+          rng.NextBool()
+              ? Term::Int(static_cast<int64_t>(rng.NextBounded(10)))
+              : Term::Str(kStrings[rng.NextBounded(
+                    sizeof(kStrings) / sizeof(kStrings[0]))]));
     }
     builder.Head("H", head_terms);
     builder.Body("B", {Term::Var(v0)});
@@ -133,7 +137,9 @@ TEST_P(UnifyProperty, ParsedWildcardsRoundTrip) {
   // Parser-produced queries with `_` wildcards through print -> parse
   // -> print: a fixpoint after one round trip, and the reparse binds as
   // many variables as the original (no wildcard turns into a constant).
-  const char* const kTerms[] = {"x", "y", "_", "_", "3", "'k'", "Zed"};
+  const char* const kTerms[] = {"x",   "y",         "_",
+                                "_",   "3",         "'k'",
+                                "Zed", "\"it's\"", "'say \"hi\"'"};
   auto random_atom = [&rng, &kTerms](const std::string& relation) {
     std::string atom = relation + "(";
     const size_t arity = 1 + rng.NextBounded(3);

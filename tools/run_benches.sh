@@ -22,6 +22,7 @@ benches=(
   bench_session_quota
   bench_shard_merge
   bench_wal
+  bench_parse
 )
 
 status=0
