@@ -18,6 +18,23 @@ Status ValidateText(const std::string& text) {
   return ParseQuery(text, &scratch).status();
 }
 
+/// Whether `live` holds exactly the schema and rows of `loaded`,
+/// compared row by row.
+bool SameFacts(const Relation& live, const SnapshotRelation& loaded) {
+  if (live.name() != loaded.name || live.column_names() != loaded.columns ||
+      live.size() != loaded.rows.size()) {
+    return false;
+  }
+  size_t i = 0;
+  for (const RowView& row : live.rows()) {
+    const Tuple& other = loaded.rows[i++];
+    if (!std::equal(row.begin(), row.end(), other.begin(), other.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string RecoveryReport::ToString() const {
@@ -455,7 +472,6 @@ Status DurableCoordinationService::RotateWithSnapshot(uint64_t new_epoch) {
   state.evaluate_every = evaluate_every_;
   state.cadence_phase = cadence_phase_;
   state.total_events = total_events_;
-  CaptureDatabaseFacts(*db_, &state);
   state.pending.reserve(live_.size());
   for (const auto& [durable_id, live] : live_) {
     SnapshotPendingQuery pending;
@@ -471,8 +487,31 @@ Status DurableCoordinationService::RotateWithSnapshot(uint64_t new_epoch) {
     Status synced = wal_->Sync();
     if (!synced.ok()) return synced;
   }
+  // Relations are append-only and their version counts inserts, so an
+  // unmoved version means the named segment still holds every row.
+  // Other relations get a new segment, landed before the snapshot that
+  // names it; the snapshot's directory fsync covers both renames.
+  const std::vector<std::string>& names = db_->relation_names();
+  std::vector<std::optional<FactSegmentRef>> segments(names.size());
+  state.relations.resize(names.size());
+  for (size_t position = 0; position < names.size(); ++position) {
+    const Relation* relation = db_->Find(names[position]);
+    ENTANGLED_CHECK(relation != nullptr) << "catalog lists unknown relation";
+    FactSegmentRef ref{new_epoch, relation->version()};
+    if (position < segments_.size() && segments_[position].has_value() &&
+        segments_[position]->version == ref.version) {
+      ref = *segments_[position];
+    } else {
+      Status written =
+          WriteFactSegment(*relation, new_epoch, position, options_.dir);
+      if (!written.ok()) return written;
+    }
+    state.relations[position].segment_epoch = ref.epoch;
+    segments[position] = ref;
+  }
   Status written = WriteSnapshot(state, options_.dir);
   if (!written.ok()) return written;
+  segments_ = std::move(segments);
   auto writer =
       WalWriter::Create(WalPath(options_.dir, new_epoch), new_epoch,
                         options_.fsync);
@@ -644,6 +683,21 @@ Status DurableCoordinationService::Recover(DurableState state,
   // Settle queued intake so every pre-crash delivery is re-derived (and
   // every in-flight one re-forwarded) before recovery returns.
   (void)inner_->num_pending();
+
+  // The closing rotation names each loaded fact segment again when the
+  // live relation still holds exactly its rows; any relation that
+  // differs (or that no segment covers) gets a new one.
+  const std::vector<std::string>& names = db_->relation_names();
+  segments_.assign(names.size(), std::nullopt);
+  const size_t loaded = std::min(names.size(), state.snapshot.relations.size());
+  for (size_t position = 0; position < loaded; ++position) {
+    const Relation* live = db_->Find(names[position]);
+    const SnapshotRelation& facts = state.snapshot.relations[position];
+    if (SameFacts(*live, facts)) {
+      segments_[position] =
+          FactSegmentRef{facts.segment_epoch, live->version()};
+    }
+  }
 
   // Rotate into a fresh epoch capturing the recovered state: a second
   // recovery replays this snapshot, not the old log (idempotence).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +22,10 @@ class SessionManager;
 /// \brief Knobs of the durability decorator.
 struct DurabilityOptions {
   /// Storage directory (must already exist).  An empty directory is
-  /// initialized with a genesis snapshot (epoch 0, capturing the
-  /// database facts present at Create time) plus an empty WAL segment;
-  /// a non-empty one must be rehydrated through Recover() before use.
+  /// initialized with a genesis snapshot (epoch 0, with one fact
+  /// segment per relation present at Create time) plus an empty WAL
+  /// segment; a non-empty one must be rehydrated through Recover()
+  /// before use.
   std::string dir;
 
   FsyncPolicy fsync = FsyncPolicy::kEveryFlush;
@@ -160,7 +162,9 @@ class DurableCoordinationService : public CoordinationService {
   /// submission, on a decorator whose Create found a non-empty
   /// directory.  Ends by rotating into a fresh snapshot + segment, so a
   /// second recovery replays the rotated state, not the old log
-  /// (double-recovery idempotence).
+  /// (double-recovery idempotence).  That rotation reuses every fact
+  /// segment of `state` whose rows the live relation holds exactly, so
+  /// it writes only the relations that differ.
   Status Recover(DurableState state, SessionManager* sessions);
 
   /// Forces a rotation now: settle queued intake, snapshot live state,
@@ -179,6 +183,12 @@ class DurableCoordinationService : public CoordinationService {
   struct LiveQuery {
     int64_t session = -1;
     std::string text;
+  };
+
+  /// The fact segment on disk that holds a relation's rows at `version`.
+  struct FactSegmentRef {
+    uint64_t epoch = 0;
+    uint64_t version = 0;
   };
 
   DurableCoordinationService(CoordinationService* inner, const Database* db,
@@ -213,6 +223,9 @@ class DurableCoordinationService : public CoordinationService {
 
   std::unique_ptr<WalWriter> wal_;
   WalStats closed_wal_stats_;  ///< folded-in stats of rotated-out segments
+  /// Per catalog position, the fact segment the last rotation named; a
+  /// rotation rewrites a relation only when its version moved.
+  std::vector<std::optional<FactSegmentRef>> segments_;
   uint64_t epoch_ = 0;
   uint64_t snapshot_count_ = 0;
   uint64_t total_events_ = 0;        ///< logged records (marks excluded)

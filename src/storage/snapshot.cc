@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,99 +11,45 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "storage/codec.h"
 #include "storage/wal.h"  // Crc32c
 
 namespace entangled {
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'E', 'S', 'N', 'P', '0', '0', '0', '2'};
-constexpr size_t kFrameOverhead = 4 + 4;  // payload length + payload crc
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-/// Bounds-checked little-endian reader (same wire conventions as the
-/// WAL frame payloads).
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (size_ - pos_ < 1) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = static_cast<uint32_t>(data_[pos_]) |
-         static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-         static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-         static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0, hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | static_cast<uint64_t>(hi) << 32;
-    return true;
-  }
-  bool ReadI64(int64_t* v) {
-    uint64_t raw = 0;
-    if (!ReadU64(&raw)) return false;
-    *v = static_cast<int64_t>(raw);
-    return true;
-  }
-  bool ReadString(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (size_ - pos_ < len) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+// Snapshot file: magic | u32 payload length | u32 payload crc | payload.
+constexpr char kSnapshotMagic[8] = {'E', 'S', 'N', 'P', '0', '0', '0', '3'};
+constexpr size_t kSnapshotHeader = 8 + 4 + 4;
+// Fact segment file: magic | u64 payload length | u32 payload crc |
+// payload.  A relation can outgrow a u32 length; a snapshot cannot.
+constexpr char kSegmentMagic[8] = {'E', 'F', 'C', 'T', '0', '0', '0', '1'};
+constexpr size_t kSegmentHeader = 8 + 8 + 4;
 
 constexpr uint8_t kValueInt = 0;
 constexpr uint8_t kValueStr = 1;
 
+// Smallest encodings, which bound each count read off disk before
+// anything is reserved by it.
+constexpr size_t kMinRelationRefBytes = 8;        // segment epoch
+constexpr size_t kMinPendingBytes = 8 + 8 + 4;    // id + session + text
+constexpr size_t kMinStringBytes = 4;             // length, no bytes
+constexpr size_t kMinValueBytes = 1 + kMinStringBytes;  // kind + ""
+
+size_t EncodedSize(const Value& value) {
+  return value.is_int() ? 1 + 8 : 1 + 4 + value.AsString().size();
+}
+
 void PutValue(std::vector<uint8_t>* out, const Value& value) {
-  if (value.kind() == Value::Kind::kInt) {
-    PutU8(out, kValueInt);
-    PutI64(out, value.AsInt());
+  if (value.is_int()) {
+    codec::PutU8(out, kValueInt);
+    codec::PutI64(out, value.AsInt());
   } else {
-    PutU8(out, kValueStr);
-    PutString(out, value.AsString());
+    codec::PutU8(out, kValueStr);
+    codec::PutString(out, value.AsString());
   }
 }
 
-bool ReadValue(Reader* in, Value* value) {
+bool ReadValue(codec::Reader* in, Value* value) {
   uint8_t kind = 0;
   if (!in->ReadU8(&kind)) return false;
   if (kind == kValueInt) {
@@ -112,7 +59,7 @@ bool ReadValue(Reader* in, Value* value) {
     return true;
   }
   if (kind == kValueStr) {
-    std::string s;
+    std::string_view s;
     if (!in->ReadString(&s)) return false;
     *value = Value::Str(s);
     return true;
@@ -121,80 +68,122 @@ bool ReadValue(Reader* in, Value* value) {
 }
 
 std::vector<uint8_t> EncodeSnapshot(const SnapshotState& state) {
-  std::vector<uint8_t> out;
-  PutU64(&out, state.epoch);
-  PutI64(&out, state.next_durable_id);
-  PutU64(&out, state.next_sequence);
-  PutU64(&out, state.evaluate_every);
-  PutU64(&out, state.cadence_phase);
-  PutU64(&out, state.total_events);
-  PutU32(&out, static_cast<uint32_t>(state.relations.size()));
+  std::vector<uint8_t> out(kSnapshotMagic,
+                           kSnapshotMagic + sizeof(kSnapshotMagic));
+  codec::PutU32(&out, 0);  // payload length, patched below
+  codec::PutU32(&out, 0);  // payload crc, patched below
+  codec::PutU64(&out, state.epoch);
+  codec::PutI64(&out, state.next_durable_id);
+  codec::PutU64(&out, state.next_sequence);
+  codec::PutU64(&out, state.evaluate_every);
+  codec::PutU64(&out, state.cadence_phase);
+  codec::PutU64(&out, state.total_events);
+  codec::PutU32(&out, static_cast<uint32_t>(state.relations.size()));
   for (const SnapshotRelation& relation : state.relations) {
-    PutString(&out, relation.name);
-    PutU32(&out, static_cast<uint32_t>(relation.columns.size()));
-    for (const std::string& column : relation.columns) PutString(&out, column);
-    PutU64(&out, relation.rows.size());
-    for (const Tuple& row : relation.rows) {
-      for (const Value& value : row) PutValue(&out, value);
-    }
+    codec::PutU64(&out, relation.segment_epoch);
   }
-  PutU32(&out, static_cast<uint32_t>(state.pending.size()));
+  codec::PutU32(&out, static_cast<uint32_t>(state.pending.size()));
   for (const SnapshotPendingQuery& pending : state.pending) {
-    PutI64(&out, pending.id);
-    PutI64(&out, pending.session);
-    PutString(&out, pending.text);
+    codec::PutI64(&out, pending.id);
+    codec::PutI64(&out, pending.session);
+    codec::PutString(&out, pending.text);
   }
+  const size_t len = out.size() - kSnapshotHeader;
+  codec::PatchU32(&out, 8, static_cast<uint32_t>(len));
+  codec::PatchU32(&out, 12, Crc32c(out.data() + kSnapshotHeader, len));
   return out;
 }
 
 bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
-  Reader in(data, size);
+  codec::Reader in(data, size);
   uint32_t num_relations = 0;
   if (!in.ReadU64(&state->epoch) || !in.ReadI64(&state->next_durable_id) ||
       !in.ReadU64(&state->next_sequence) ||
       !in.ReadU64(&state->evaluate_every) ||
       !in.ReadU64(&state->cadence_phase) ||
-      !in.ReadU64(&state->total_events) || !in.ReadU32(&num_relations)) {
+      !in.ReadU64(&state->total_events) ||
+      !in.ReadCount(&num_relations, kMinRelationRefBytes)) {
     return false;
   }
-  state->relations.clear();
-  state->relations.reserve(num_relations);
-  for (uint32_t r = 0; r < num_relations; ++r) {
-    SnapshotRelation relation;
-    uint32_t num_columns = 0;
-    uint64_t num_rows = 0;
-    if (!in.ReadString(&relation.name) || !in.ReadU32(&num_columns)) {
+  state->relations.assign(num_relations, SnapshotRelation());
+  for (SnapshotRelation& relation : state->relations) {
+    // A snapshot can only name segments its own rotation or an earlier
+    // one wrote.
+    if (!in.ReadU64(&relation.segment_epoch) ||
+        relation.segment_epoch > state->epoch) {
       return false;
     }
-    relation.columns.resize(num_columns);
-    for (uint32_t c = 0; c < num_columns; ++c) {
-      if (!in.ReadString(&relation.columns[c])) return false;
-    }
-    if (!in.ReadU64(&num_rows)) return false;
-    relation.rows.reserve(num_rows);
-    for (uint64_t row = 0; row < num_rows; ++row) {
-      Tuple tuple;
-      tuple.reserve(num_columns);
-      for (uint32_t c = 0; c < num_columns; ++c) {
-        Value value = Value::Int(0);
-        if (!ReadValue(&in, &value)) return false;
-        tuple.push_back(value);
-      }
-      relation.rows.push_back(std::move(tuple));
-    }
-    state->relations.push_back(std::move(relation));
   }
   uint32_t num_pending = 0;
-  if (!in.ReadU32(&num_pending)) return false;
-  state->pending.clear();
-  state->pending.reserve(num_pending);
-  for (uint32_t i = 0; i < num_pending; ++i) {
-    SnapshotPendingQuery pending;
+  if (!in.ReadCount(&num_pending, kMinPendingBytes)) return false;
+  state->pending.assign(num_pending, SnapshotPendingQuery());
+  for (SnapshotPendingQuery& pending : state->pending) {
     if (!in.ReadI64(&pending.id) || !in.ReadI64(&pending.session) ||
         !in.ReadString(&pending.text)) {
       return false;
     }
-    state->pending.push_back(std::move(pending));
+  }
+  return in.exhausted();
+}
+
+/// Encodes straight from the relation's row store into one buffer
+/// reserved at its final size: no Tuple copy of the relation.
+std::vector<uint8_t> EncodeFactSegment(const Relation& relation,
+                                       uint64_t epoch, uint64_t position) {
+  size_t len = 8 + 8 + 4 + relation.name().size() + 4 + 8;
+  for (const std::string& column : relation.column_names()) {
+    len += 4 + column.size();
+  }
+  for (const RowView& row : relation.rows()) {
+    for (const Value& value : row) len += EncodedSize(value);
+  }
+  std::vector<uint8_t> out;
+  out.reserve(kSegmentHeader + len);
+  out.insert(out.end(), kSegmentMagic, kSegmentMagic + sizeof(kSegmentMagic));
+  codec::PutU64(&out, len);
+  codec::PutU32(&out, 0);  // payload crc, patched below
+  codec::PutU64(&out, epoch);
+  codec::PutU64(&out, position);
+  codec::PutString(&out, relation.name());
+  codec::PutU32(&out, static_cast<uint32_t>(relation.arity()));
+  for (const std::string& column : relation.column_names()) {
+    codec::PutString(&out, column);
+  }
+  codec::PutU64(&out, relation.size());
+  for (const RowView& row : relation.rows()) {
+    for (const Value& value : row) PutValue(&out, value);
+  }
+  ENTANGLED_CHECK_EQ(out.size(), kSegmentHeader + len)
+      << "fact segment size estimate is off";
+  codec::PatchU32(&out, 16, Crc32c(out.data() + kSegmentHeader, len));
+  return out;
+}
+
+bool DecodeFactSegment(const uint8_t* data, size_t size, uint64_t epoch,
+                       uint64_t position, SnapshotRelation* relation) {
+  codec::Reader in(data, size);
+  uint64_t stored_epoch = 0, stored_position = 0;
+  uint32_t num_columns = 0;
+  if (!in.ReadU64(&stored_epoch) || !in.ReadU64(&stored_position) ||
+      stored_epoch != epoch || stored_position != position ||
+      !in.ReadString(&relation->name) ||
+      !in.ReadCount(&num_columns, kMinStringBytes) || num_columns == 0) {
+    return false;
+  }
+  relation->columns.assign(num_columns, std::string());
+  for (std::string& column : relation->columns) {
+    if (!in.ReadString(&column)) return false;
+  }
+  uint64_t num_rows = 0;
+  if (!in.ReadCount(&num_rows, kMinValueBytes * num_columns)) return false;
+  relation->rows.clear();
+  relation->rows.reserve(num_rows);
+  for (uint64_t row = 0; row < num_rows; ++row) {
+    Tuple tuple(num_columns);
+    for (Value& value : tuple) {
+      if (!ReadValue(&in, &value)) return false;
+    }
+    relation->rows.push_back(std::move(tuple));
   }
   return in.exhausted();
 }
@@ -203,26 +192,71 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::Internal(what + " " + path + ": " + std::strerror(errno));
 }
 
-Status WriteAll(int fd, const std::string& path, const void* data,
-                size_t size) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+std::string DirName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? "." : path.substr(0, slash);
+}
+
+/// Writes `bytes` to a new `path` (truncating any old file) and fsyncs
+/// it before returning.
+Status WriteFileSynced(const std::string& path,
+                       const std::vector<uint8_t>& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoStatus("open", path);
   size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, bytes + done, size - done);
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus("write snapshot", path);
+      Status failed = ErrnoStatus("write", path);
+      ::close(fd);
+      return failed;
     }
     done += static_cast<size_t>(n);
   }
+  if (::fsync(fd) != 0) {
+    Status failed = ErrnoStatus("fsync", path);
+    ::close(fd);
+    return failed;
+  }
+  ::close(fd);
   return Status::OK();
 }
 
-std::string PaddedEpoch(uint64_t epoch) {
-  std::string digits = std::to_string(epoch);
-  return std::string(digits.size() < 10 ? 10 - digits.size() : 0, '0') +
+Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoStatus("open", path);
+  struct stat info;
+  if (::fstat(fd, &info) != 0) {
+    Status failed = ErrnoStatus("stat", path);
+    ::close(fd);
+    return failed;
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(info.st_size));
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      Status failed = ErrnoStatus("read", path);
+      ::close(fd);
+      return failed;
+    }
+    if (n == 0) break;  // shrank since the stat: decode what is there
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(done);
+  return bytes;
+}
+
+std::string Padded(uint64_t value, size_t width) {
+  std::string digits = std::to_string(value);
+  return std::string(digits.size() < width ? width - digits.size() : 0, '0') +
          digits;
 }
+
+std::string PaddedEpoch(uint64_t epoch) { return Padded(epoch, 10); }
 
 /// Parses `<prefix><digits><suffix>` names; nullopt for anything else
 /// (temp files, strays).
@@ -260,6 +294,15 @@ std::string WalPath(const std::string& dir, uint64_t epoch) {
   return dir + "/" + WalFileName(epoch);
 }
 
+std::string FactSegmentFileName(uint64_t epoch, uint64_t position) {
+  return "facts-" + PaddedEpoch(epoch) + "-" + Padded(position, 4) + ".seg";
+}
+
+std::string FactSegmentPath(const std::string& dir, uint64_t epoch,
+                            uint64_t position) {
+  return dir + "/" + FactSegmentFileName(epoch, position);
+}
+
 Result<StorageDirListing> ListStorageDir(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return ErrnoStatus("open storage dir", dir);
@@ -279,32 +322,57 @@ Result<StorageDirListing> ListStorageDir(const std::string& dir) {
   return listing;
 }
 
+Status WriteFactSegment(const Relation& relation, uint64_t epoch,
+                        uint64_t position, const std::string& dir) {
+  const std::string path = FactSegmentPath(dir, epoch, position);
+  const std::string temp_path = path + ".tmp";
+  Status written =
+      WriteFileSynced(temp_path, EncodeFactSegment(relation, epoch, position));
+  if (!written.ok()) return written;
+  // A crash may have left a segment of this name that no snapshot
+  // committed; rename(2) replaces it atomically.
+  if (::rename(temp_path.c_str(), path.c_str()) != 0) {
+    return ErrnoStatus("rename fact segment", path);
+  }
+  return Status::OK();
+}
+
+Status LoadFactSegment(const std::string& dir, uint64_t epoch,
+                       uint64_t position, SnapshotRelation* relation) {
+  const std::string path = FactSegmentPath(dir, epoch, position);
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  if (bytes->size() < kSegmentHeader ||
+      std::memcmp(bytes->data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
+    return Status::Internal("fact segment " + path +
+                            ": missing or short header");
+  }
+  codec::Reader frame(bytes->data() + sizeof(kSegmentMagic),
+                      kSegmentHeader - sizeof(kSegmentMagic));
+  uint64_t len = 0;
+  uint32_t crc = 0;
+  frame.ReadU64(&len);
+  frame.ReadU32(&crc);
+  if (bytes->size() - kSegmentHeader != len) {
+    return Status::Internal("fact segment " + path + ": truncated payload");
+  }
+  const uint8_t* payload = bytes->data() + kSegmentHeader;
+  if (Crc32c(payload, len) != crc) {
+    return Status::Internal("fact segment " + path + ": CRC mismatch");
+  }
+  if (!DecodeFactSegment(payload, len, epoch, position, relation)) {
+    return Status::Internal("fact segment " + path + ": malformed payload");
+  }
+  return Status::OK();
+}
+
 Result<std::string> WriteSnapshotToTemp(const SnapshotState& state,
                                         const std::string& dir) {
-  const std::string temp_path =
-      SnapshotPath(dir, state.epoch) + ".tmp";
-  const int fd = ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoStatus("open snapshot temp", temp_path);
-
-  const std::vector<uint8_t> payload = EncodeSnapshot(state);
-  std::vector<uint8_t> bytes(kSnapshotMagic,
-                             kSnapshotMagic + sizeof(kSnapshotMagic));
-  PutU32(&bytes, static_cast<uint32_t>(payload.size()));
-  PutU32(&bytes, Crc32c(payload.data(), payload.size()));
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-
-  Status written = WriteAll(fd, temp_path, bytes.data(), bytes.size());
-  if (!written.ok()) {
-    ::close(fd);
-    return written;
-  }
+  const std::string temp_path = SnapshotPath(dir, state.epoch) + ".tmp";
   // The temp file must be durable *before* the rename publishes it;
   // otherwise a crash could expose a named-but-hollow snapshot.
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return ErrnoStatus("fsync snapshot temp", temp_path);
-  }
-  ::close(fd);
+  Status written = WriteFileSynced(temp_path, EncodeSnapshot(state));
+  if (!written.ok()) return written;
   return temp_path;
 }
 
@@ -313,10 +381,9 @@ Status CommitSnapshot(const std::string& temp_path,
   if (::rename(temp_path.c_str(), final_path.c_str()) != 0) {
     return ErrnoStatus("rename snapshot", final_path);
   }
-  // fsync the directory so the rename itself survives power loss.
-  const size_t slash = final_path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : final_path.substr(0, slash);
+  // fsync the directory so the rename itself survives power loss — and
+  // with it the renames of the fact segments written before it.
+  const std::string dir = DirName(final_path);
   const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dir_fd < 0) return ErrnoStatus("open storage dir", dir);
   const int rc = ::fsync(dir_fd);
@@ -332,41 +399,37 @@ Status WriteSnapshot(const SnapshotState& state, const std::string& dir) {
 }
 
 Result<SnapshotState> LoadSnapshot(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoStatus("open snapshot", path);
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return ErrnoStatus("read snapshot", path);
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  ::close(fd);
-
-  if (bytes.size() < sizeof(kSnapshotMagic) + kFrameOverhead ||
-      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  if (bytes->size() < kSnapshotHeader ||
+      std::memcmp(bytes->data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
+          0) {
     return Status::Internal("snapshot " + path + ": missing or short header");
   }
-  Reader frame(bytes.data() + sizeof(kSnapshotMagic), kFrameOverhead);
+  codec::Reader frame(bytes->data() + sizeof(kSnapshotMagic),
+                      kSnapshotHeader - sizeof(kSnapshotMagic));
   uint32_t len = 0, crc = 0;
   frame.ReadU32(&len);
   frame.ReadU32(&crc);
-  const size_t payload_at = sizeof(kSnapshotMagic) + kFrameOverhead;
-  if (bytes.size() - payload_at != len) {
+  if (bytes->size() - kSnapshotHeader != len) {
     return Status::Internal("snapshot " + path + ": truncated payload");
   }
-  const uint8_t* payload = bytes.data() + payload_at;
+  const uint8_t* payload = bytes->data() + kSnapshotHeader;
   if (Crc32c(payload, len) != crc) {
     return Status::Internal("snapshot " + path + ": CRC mismatch");
   }
   SnapshotState state;
   if (!DecodeSnapshot(payload, len, &state)) {
     return Status::Internal("snapshot " + path + ": malformed payload");
+  }
+  const std::string dir = DirName(path);
+  for (size_t position = 0; position < state.relations.size(); ++position) {
+    SnapshotRelation& relation = state.relations[position];
+    Status loaded =
+        LoadFactSegment(dir, relation.segment_epoch, position, &relation);
+    if (!loaded.ok()) {
+      return Status::Internal("snapshot " + path + ": " + loaded.message());
+    }
   }
   return state;
 }
@@ -379,23 +442,6 @@ Status BuildDatabaseFromSnapshot(const SnapshotState& state, Database* db) {
     if (!inserted.ok()) return inserted;
   }
   return Status::OK();
-}
-
-void CaptureDatabaseFacts(const Database& db, SnapshotState* state) {
-  state->relations.clear();
-  state->relations.reserve(db.relation_count());
-  for (const std::string& name : db.relation_names()) {
-    const Relation* relation = db.Find(name);
-    ENTANGLED_CHECK(relation != nullptr) << "catalog lists unknown relation";
-    SnapshotRelation out;
-    out.name = name;
-    out.columns = relation->column_names();
-    out.rows.reserve(relation->size());
-    for (const RowView& row : relation->rows()) {
-      out.rows.push_back(row.ToTuple());
-    }
-    state->relations.push_back(std::move(out));
-  }
 }
 
 }  // namespace entangled

@@ -6,7 +6,11 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/logging.h"
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "storage/codec.h"
 
 namespace entangled {
 namespace {
@@ -32,86 +36,24 @@ const uint32_t* Crc32cTable() {
   return table;
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-/// Bounds-checked little-endian reader over a frame payload.
-class PayloadReader {
- public:
-  PayloadReader(const uint8_t* data, size_t size)
-      : data_(data), size_(size) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (size_ - pos_ < 4) return ok_ = false;
-    *v = static_cast<uint32_t>(data_[pos_]) |
-         static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-         static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-         static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0, hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | static_cast<uint64_t>(hi) << 32;
-    return true;
-  }
-  bool ReadI64(int64_t* v) {
-    uint64_t raw = 0;
-    if (!ReadU64(&raw)) return false;
-    *v = static_cast<int64_t>(raw);
-    return true;
-  }
-  bool ReadString(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (size_ - pos_ < len) return ok_ = false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+/// Smallest encoding of one batch entry (id + empty text): bounds a
+/// batch count read off disk before anything is reserved by it.
+constexpr size_t kMinBatchEntryBytes = 8 + 4;
 
 /// Decodes one frame payload; false on a malformed payload (treated by
 /// the caller as corruption, exactly like a CRC failure).
 bool DecodeWalRecord(const uint8_t* data, size_t size, WalRecord* record) {
-  PayloadReader in(data, size);
   if (size < 1) return false;
   record->kind = static_cast<WalRecord::Kind>(data[0]);
-  PayloadReader body(data + 1, size - 1);
+  codec::Reader body(data + 1, size - 1);
   switch (record->kind) {
     case WalRecord::Kind::kSubmit:
       return body.ReadI64(&record->id) && body.ReadI64(&record->session) &&
              body.ReadString(&record->text) && body.exhausted();
     case WalRecord::Kind::kSubmitBatch: {
       uint32_t count = 0;
-      if (!body.ReadI64(&record->session) || !body.ReadU32(&count)) {
+      if (!body.ReadI64(&record->session) ||
+          !body.ReadCount(&count, kMinBatchEntryBytes)) {
         return false;
       }
       record->batch.clear();
@@ -136,13 +78,43 @@ bool DecodeWalRecord(const uint8_t* data, size_t size, WalRecord* record) {
   return false;  // unknown kind byte
 }
 
+/// Appends the frame payload of `record` to `out`.
+void AppendWalPayload(const WalRecord& record, std::vector<uint8_t>* out) {
+  codec::PutU8(out, static_cast<uint8_t>(record.kind));
+  switch (record.kind) {
+    case WalRecord::Kind::kSubmit:
+      codec::PutI64(out, record.id);
+      codec::PutI64(out, record.session);
+      codec::PutString(out, record.text);
+      break;
+    case WalRecord::Kind::kSubmitBatch:
+      codec::PutI64(out, record.session);
+      codec::PutU32(out, static_cast<uint32_t>(record.batch.size()));
+      for (const auto& [id, text] : record.batch) {
+        codec::PutI64(out, id);
+        codec::PutString(out, text);
+      }
+      break;
+    case WalRecord::Kind::kCancel:
+      codec::PutI64(out, record.id);
+      codec::PutI64(out, record.session);
+      break;
+    case WalRecord::Kind::kSetEvaluateEvery:
+    case WalRecord::Kind::kDeliveryMark:
+      codec::PutU64(out, record.value);
+      break;
+    case WalRecord::Kind::kFlush:
+      break;
+  }
+}
+
 Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::Internal(what + " " + path + ": " + std::strerror(errno));
 }
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+uint32_t Crc32cTableLoop(const void* data, size_t size, uint32_t seed) {
   const uint32_t* table = Crc32cTable();
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
@@ -150,6 +122,48 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                        size_t size,
+                                                        uint32_t seed) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint64_t crc = static_cast<uint32_t>(~seed);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));  // unaligned-safe load
+    crc = _mm_crc32_u64(crc, word);
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *bytes);
+  }
+  return ~static_cast<uint32_t>(crc);
+}
+
+bool Crc32cSse42Supported() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return supported;
+}
+
+#else
+
+uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed) {
+  return Crc32cTableLoop(data, size, seed);
+}
+
+bool Crc32cSse42Supported() { return false; }
+
+#endif
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  static const auto crc32c =
+      Crc32cSse42Supported() ? &Crc32cSse42 : &Crc32cTableLoop;
+  return crc32c(data, size, seed);
 }
 
 const char* FsyncPolicyName(FsyncPolicy policy) {
@@ -171,32 +185,7 @@ bool WalRecord::operator==(const WalRecord& other) const {
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
   std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(record.kind));
-  switch (record.kind) {
-    case WalRecord::Kind::kSubmit:
-      PutI64(&out, record.id);
-      PutI64(&out, record.session);
-      PutString(&out, record.text);
-      break;
-    case WalRecord::Kind::kSubmitBatch:
-      PutI64(&out, record.session);
-      PutU32(&out, static_cast<uint32_t>(record.batch.size()));
-      for (const auto& [id, text] : record.batch) {
-        PutI64(&out, id);
-        PutString(&out, text);
-      }
-      break;
-    case WalRecord::Kind::kCancel:
-      PutI64(&out, record.id);
-      PutI64(&out, record.session);
-      break;
-    case WalRecord::Kind::kSetEvaluateEvery:
-    case WalRecord::Kind::kDeliveryMark:
-      PutU64(&out, record.value);
-      break;
-    case WalRecord::Kind::kFlush:
-      break;
-  }
+  AppendWalPayload(record, &out);
   return out;
 }
 
@@ -211,8 +200,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   if (fd < 0) return ErrnoStatus("open wal", path);
   std::unique_ptr<WalWriter> writer(new WalWriter(path, fd, policy));
   std::vector<uint8_t> header(kWalMagic, kWalMagic + sizeof(kWalMagic));
-  PutU64(&header, epoch);
-  PutU32(&header, Crc32c(header.data(), header.size()));
+  codec::PutU64(&header, epoch);
+  codec::PutU32(&header, Crc32c(header.data(), header.size()));
   Status written = writer->WriteAll(header.data(), header.size());
   if (!written.ok()) return written;
   writer->stats_.bytes += header.size();
@@ -255,16 +244,17 @@ Status WalWriter::WriteAll(const void* data, size_t size) {
 }
 
 Status WalWriter::Append(const WalRecord& record) {
-  const std::vector<uint8_t> payload = EncodeWalRecord(record);
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameOverhead + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  Status written = WriteAll(frame.data(), frame.size());
+  // Header slots first, the payload after them, then the header is
+  // filled in: one buffer, no copy of the payload.
+  frame_.assign(kFrameOverhead, 0);
+  AppendWalPayload(record, &frame_);
+  const size_t len = frame_.size() - kFrameOverhead;
+  codec::PatchU32(&frame_, 0, static_cast<uint32_t>(len));
+  codec::PatchU32(&frame_, 4, Crc32c(frame_.data() + kFrameOverhead, len));
+  Status written = WriteAll(frame_.data(), frame_.size());
   if (!written.ok()) return written;
   ++stats_.appended_records;
-  stats_.bytes += frame.size();
+  stats_.bytes += frame_.size();
   if (policy_ == FsyncPolicy::kEveryRecord) return Sync();
   return Status::OK();
 }
@@ -310,8 +300,8 @@ Result<WalReadResult> ReadWalSegment(const std::string& path) {
   }
   const uint32_t header_crc =
       Crc32c(bytes.data(), kHeaderSize - 4);
-  PayloadReader header(bytes.data() + sizeof(kWalMagic),
-                       kHeaderSize - sizeof(kWalMagic));
+  codec::Reader header(bytes.data() + sizeof(kWalMagic),
+                      kHeaderSize - sizeof(kWalMagic));
   uint32_t stored_crc = 0;
   header.ReadU64(&result.epoch);
   header.ReadU32(&stored_crc);
@@ -327,7 +317,7 @@ Result<WalReadResult> ReadWalSegment(const std::string& path) {
     // A frame that does not fit in the remaining bytes is a torn tail:
     // the crash interrupted the append mid-write.
     if (bytes.size() - pos < kFrameOverhead) break;
-    PayloadReader frame(bytes.data() + pos, kFrameOverhead);
+    codec::Reader frame(bytes.data() + pos, kFrameOverhead);
     uint32_t len = 0, crc = 0;
     frame.ReadU32(&len);
     frame.ReadU32(&crc);

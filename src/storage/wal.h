@@ -12,9 +12,18 @@
 
 namespace entangled {
 
-/// CRC32C (Castagnoli) over `data`, software table implementation.
-/// `seed` chains partial checksums: Crc32c(b, Crc32c(a)) == Crc32c(a+b).
+/// CRC32C (Castagnoli) over `data`.  `seed` chains partial checksums:
+/// Crc32c(b, Crc32c(a)) == Crc32c(a+b).  Runs the SSE4.2 instruction
+/// when the CPU has it (picked once, at first use), else the table loop.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
+
+/// The two paths behind Crc32c, exposed so tests can hold one against
+/// the other.  The byte-at-a-time table loop is portable and is the
+/// reference.  Crc32cSse42 may be called only when Crc32cSse42Supported()
+/// (never off x86-64, where it falls back to the table loop).
+uint32_t Crc32cTableLoop(const void* data, size_t size, uint32_t seed = 0);
+uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed = 0);
+bool Crc32cSse42Supported();
 
 /// \brief When the write-ahead log calls fsync(2).
 ///
@@ -128,6 +137,8 @@ class WalWriter {
   int fd_ = -1;
   FsyncPolicy policy_;
   WalStats stats_;
+  /// The frame being appended: reused, so it keeps its capacity.
+  std::vector<uint8_t> frame_;
 };
 
 /// \brief Everything one segment scan produced, with the tail/corruption

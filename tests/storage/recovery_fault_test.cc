@@ -1,20 +1,24 @@
 // Fault-injection recovery tests (storage/durable_service.h): a real
 // recorded scenario is damaged on disk — bit-flipped WAL frames, torn
-// tails, deleted or corrupted snapshots, missing segments — and every
-// injection must be *detected and typed* in the RecoveryReport while
-// recovery still lands on the newest consistent point.  Nothing here
-// may crash, and nothing may silently skip damage.
+// tails, deleted or corrupted snapshots, missing WAL segments, deleted
+// or corrupted fact segments, crashes between a fact segment and its
+// snapshot — and every injection must be *detected and typed* in the
+// RecoveryReport while recovery still lands on the newest consistent
+// point.  Nothing here may crash, and nothing may silently skip damage.
 
 #include <dirent.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "db/database.h"
 #include "db/value.h"
@@ -117,13 +121,17 @@ struct Recovered {
   Status state_error = Status::OK();
 };
 
-void Rehydrate(const std::string& dir, Recovered* out) {
+/// `before_recover`, when set, runs on the rebuilt database between
+/// BuildDatabaseFromSnapshot and Recover().
+void Rehydrate(const std::string& dir, Recovered* out,
+               const std::function<void(Database*)>& before_recover = {}) {
   auto state = ReadDurableState(dir);
   if (!state.ok()) {
     out->state_error = state.status();
     return;
   }
   ASSERT_TRUE(BuildDatabaseFromSnapshot(state->snapshot, &out->db).ok());
+  if (before_recover) before_recover(&out->db);
   EngineOptions engine_options;
   engine_options.evaluate_every = 1;
   out->inner = std::make_unique<CoordinationEngine>(&out->db, engine_options);
@@ -153,6 +161,76 @@ void FlipByte(const std::string& path, uint64_t offset, uint8_t mask) {
   byte = static_cast<char>(byte ^ mask);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&byte, 1);
+}
+
+/// Fact segment file names in `dir`, sorted.
+std::vector<std::string> SegmentFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* handle = opendir(dir.c_str());
+  EXPECT_NE(handle, nullptr) << dir;
+  if (handle == nullptr) return names;
+  while (dirent* entry = readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name.rfind("facts-", 0) == 0 && name.size() > 4 &&
+        name.compare(name.size() - 4, 4, ".seg") == 0) {
+      names.push_back(name);
+    }
+  }
+  closedir(handle);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Rows of `relation` in `db` (0 when the relation is missing).
+size_t RowsOf(const Database& db, const std::string& relation) {
+  const Relation* found = db.Find(relation);
+  return found == nullptr ? 0 : found->size();
+}
+
+/// Records a scenario whose facts change between rotations:
+///
+///   genesis: facts-0-0 (Flights: 101, 102)
+///   wal-0:   s0 (stuck on Ghost)
+///   insert Flights(103, Zurich); snapshot-1 writes facts-1-0
+///   wal-1:   s1 (stuck on Ghost)
+///   crash
+void RecordWithFactInsert(const std::string& dir) {
+  Database db;
+  FillFacts(&db);
+  EngineOptions engine_options;
+  engine_options.evaluate_every = 1;
+  CoordinationEngine inner(&db, engine_options);
+  DurabilityOptions durability;
+  durability.dir = dir;
+  durability.fsync = FsyncPolicy::kNone;
+  durability.initial_evaluate_every = 1;
+  auto durable = DurableCoordinationService::Create(&inner, &db, durability);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ASSERT_TRUE(
+      (*durable)
+          ->Submit("s0: { R(Ghost, z) } R(S0, z) :- Flights(z, Zurich).")
+          .ok());
+  ASSERT_TRUE(db.FindMutable("Flights")
+                  ->Insert({Value::Int(103), Value::Str("Zurich")})
+                  .ok());
+  ASSERT_TRUE((*durable)->SnapshotNow().ok());
+  ASSERT_TRUE(
+      (*durable)
+          ->Submit("s1: { R(Ghost, w) } R(S1, w) :- Flights(w, Zurich).")
+          .ok());
+  ASSERT_EQ(SegmentFiles(dir),
+            (std::vector<std::string>{"facts-0000000000-0000.seg",
+                                      "facts-0000000001-0000.seg"}));
+}
+
+/// Lands fact segment (epoch, 0) holding other Flights rows than the
+/// recorded ones: what a rotation that crashed before its snapshot
+/// committed leaves behind.
+void WriteForeignSegment(const std::string& dir, uint64_t epoch) {
+  Database other;
+  Relation* flights = *other.CreateRelation("Flights", {"flightId", "dest"});
+  ASSERT_TRUE(flights->Insert({Value::Int(999), Value::Str("Nowhere")}).ok());
+  ASSERT_TRUE(WriteFactSegment(*flights, epoch, 0, dir).ok());
 }
 
 uint64_t FileSize(const std::string& path) {
@@ -322,6 +400,196 @@ TEST(RecoveryFaultTest, RecoveredServiceRotatesAwayFromTheDamage) {
   EXPECT_FALSE(report.torn_tail);
   EXPECT_FALSE(report.corruption_detected);
   EXPECT_EQ(second.durable->PendingQueries(), std::vector<QueryId>{2});
+}
+
+TEST(RecoveryFaultTest, ClosingRotationReusesTheLoadedSegments) {
+  // The facts never changed, so neither the recording's rotation nor
+  // the one that closes each recovery writes a fact segment.
+  TempDir dir;
+  RecordScenario(dir.path());
+  const std::vector<std::string> genesis_only = {"facts-0000000000-0000.seg"};
+  EXPECT_EQ(SegmentFiles(dir.path()), genesis_only);
+  for (int pass = 0; pass < 2; ++pass) {
+    Recovered r;
+    Rehydrate(dir.path(), &r);
+    ASSERT_NE(r.durable, nullptr);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+    EXPECT_EQ(RowsOf(r.db, "Flights"), 2u);
+  }
+  EXPECT_EQ(SegmentFiles(dir.path()), genesis_only);
+}
+
+TEST(RecoveryFaultTest, DeletedSegmentSkipsToAnOlderSnapshot) {
+  TempDir dir;
+  RecordWithFactInsert(dir.path());
+  ASSERT_EQ(::unlink(FactSegmentPath(dir.path(), 1, 0).c_str()), 0);
+  Recovered r;
+  Rehydrate(dir.path(), &r);
+  ASSERT_NE(r.durable, nullptr);
+  const RecoveryReport& report = r.durable->recovery_report();
+  EXPECT_EQ(report.snapshots_skipped, 1u);
+  EXPECT_EQ(report.snapshot_epoch, 0u);
+  EXPECT_NE(report.corruption_detail.find("facts-0000000001-0000.seg"),
+            std::string::npos)
+      << report.ToString();
+  // Genesis facts: the row inserted before snapshot-1 lived only in the
+  // lost segment.  The log replays in full on top of them.
+  EXPECT_EQ(RowsOf(r.db, "Flights"), 2u);
+  EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{0, 1}));
+}
+
+TEST(RecoveryFaultTest, BitFlippedSegmentSkipsToAnOlderSnapshot) {
+  TempDir dir;
+  RecordWithFactInsert(dir.path());
+  FlipByte(FactSegmentPath(dir.path(), 1, 0), 40, 0x04);
+  Recovered r;
+  Rehydrate(dir.path(), &r);
+  ASSERT_NE(r.durable, nullptr);
+  const RecoveryReport& report = r.durable->recovery_report();
+  EXPECT_EQ(report.snapshots_skipped, 1u);
+  EXPECT_EQ(report.snapshot_epoch, 0u);
+  EXPECT_NE(report.corruption_detail.find("CRC mismatch"), std::string::npos)
+      << report.ToString();
+  EXPECT_EQ(RowsOf(r.db, "Flights"), 2u);
+}
+
+TEST(RecoveryFaultTest, SegmentEverySnapshotNamesIsASinglePointOfFailure) {
+  // Both snapshots of the base scenario name genesis's fact segment:
+  // deleting or damaging it leaves no loadable snapshot, which is the
+  // typed error, never an abort and never a partial database.
+  for (const bool remove : {true, false}) {
+    TempDir dir;
+    RecordScenario(dir.path());
+    const std::string segment = FactSegmentPath(dir.path(), 0, 0);
+    if (remove) {
+      ASSERT_EQ(::unlink(segment.c_str()), 0);
+    } else {
+      FlipByte(segment, 30, 0x01);
+    }
+    Recovered r;
+    Rehydrate(dir.path(), &r);
+    EXPECT_EQ(r.durable, nullptr);
+    ASSERT_FALSE(r.state_error.ok());
+    EXPECT_NE(r.state_error.message().find("no loadable snapshot"),
+              std::string::npos)
+        << r.state_error.ToString();
+    EXPECT_NE(r.state_error.message().find("2 damaged"), std::string::npos)
+        << r.state_error.ToString();
+  }
+}
+
+TEST(RecoveryFaultTest, SegmentWithoutItsSnapshotIsIgnored) {
+  // Crash between a fact segment's rename and its snapshot's: the
+  // orphan holds the name the next rotation of that epoch will write.
+  TempDir dir;
+  RecordScenario(dir.path());
+  WriteForeignSegment(dir.path(), 2);
+  {
+    // Recovery picks snapshot-1 and reuses its segment; the orphan stays
+    // unnamed.
+    Recovered r;
+    Rehydrate(dir.path(), &r);
+    ASSERT_NE(r.durable, nullptr);
+    EXPECT_EQ(r.durable->recovery_report().snapshot_epoch, 1u);
+    EXPECT_EQ(RowsOf(r.db, "Flights"), 2u);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+  }
+  Recovered second;
+  Rehydrate(dir.path(), &second);
+  ASSERT_NE(second.durable, nullptr);
+  EXPECT_EQ(second.durable->recovery_report().snapshot_epoch, 2u);
+  EXPECT_EQ(RowsOf(second.db, "Flights"), 2u);
+  EXPECT_EQ(second.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+}
+
+TEST(RecoveryFaultTest, ReusedSegmentNameIsReplaced) {
+  // As above, but the closing rotation must write the orphan's name:
+  // a row was inserted before Recover().  The new segment replaces the
+  // orphan, and a second recovery reads the new rows.
+  TempDir dir;
+  RecordScenario(dir.path());
+  WriteForeignSegment(dir.path(), 2);
+  {
+    Recovered r;
+    Rehydrate(dir.path(), &r, [](Database* db) {
+      ASSERT_TRUE(db->FindMutable("Flights")
+                      ->Insert({Value::Int(104), Value::Str("Zurich")})
+                      .ok());
+    });
+    ASSERT_NE(r.durable, nullptr);
+  }
+  Recovered second;
+  Rehydrate(dir.path(), &second);
+  ASSERT_NE(second.durable, nullptr);
+  EXPECT_EQ(second.durable->recovery_report().snapshot_epoch, 2u);
+  const Relation* flights = second.db.Find("Flights");
+  ASSERT_NE(flights, nullptr);
+  ASSERT_EQ(flights->size(), 3u);
+  EXPECT_EQ(flights->row(2)[0], Value::Int(104));
+  EXPECT_EQ(second.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+}
+
+TEST(RecoveryFaultTest, GenesisCrashLeavingOnlySegmentsRerunsGenesis) {
+  TempDir dir;
+  // The crashed genesis landed a segment with other rows, then died
+  // before its snapshot.
+  WriteForeignSegment(dir.path(), 0);
+  auto state = ReadDurableState(dir.path());
+  EXPECT_FALSE(state.ok());  // nothing to recover: no snapshot
+  RecordScenario(dir.path());  // Create sees a fresh directory
+  Recovered r;
+  Rehydrate(dir.path(), &r);
+  ASSERT_NE(r.durable, nullptr);
+  const Relation* flights = r.db.Find("Flights");
+  ASSERT_NE(flights, nullptr);
+  ASSERT_EQ(flights->size(), 2u);
+  EXPECT_EQ(flights->row(0)[0], Value::Int(101));
+  EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+}
+
+TEST(RecoveryFaultTest, RowsInsertedBetweenRotationsSurviveTwoRecoveries) {
+  TempDir dir;
+  RecordWithFactInsert(dir.path());
+  for (int pass = 0; pass < 2; ++pass) {
+    Recovered r;
+    Rehydrate(dir.path(), &r);
+    ASSERT_NE(r.durable, nullptr);
+    EXPECT_EQ(r.durable->recovery_report().snapshots_skipped, 0u);
+    EXPECT_EQ(RowsOf(r.db, "Flights"), 3u) << "pass " << pass;
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{0, 1}));
+  }
+  // Neither closing rotation found a changed relation.
+  EXPECT_EQ(SegmentFiles(dir.path()),
+            (std::vector<std::string>{"facts-0000000000-0000.seg",
+                                      "facts-0000000001-0000.seg"}));
+}
+
+TEST(RecoveryFaultTest, RowsInsertedBeforeRecoverLandInANewSegment) {
+  TempDir dir;
+  RecordScenario(dir.path());
+  {
+    Recovered r;
+    Rehydrate(dir.path(), &r, [](Database* db) {
+      ASSERT_TRUE(db->FindMutable("Flights")
+                      ->Insert({Value::Int(104), Value::Str("Zurich")})
+                      .ok());
+      Relation* hotels = *db->CreateRelation("Hotels", {"city"});
+      ASSERT_TRUE(hotels->Insert({Value::Str("Zurich")}).ok());
+    });
+    ASSERT_NE(r.durable, nullptr);
+    EXPECT_EQ(r.durable->epoch(), 2u);
+  }
+  // The closing rotation (epoch 2) wrote both changed relations.
+  EXPECT_EQ(SegmentFiles(dir.path()),
+            (std::vector<std::string>{"facts-0000000000-0000.seg",
+                                      "facts-0000000002-0000.seg",
+                                      "facts-0000000002-0001.seg"}));
+  Recovered second;
+  Rehydrate(dir.path(), &second);
+  ASSERT_NE(second.durable, nullptr);
+  EXPECT_EQ(RowsOf(second.db, "Flights"), 3u);
+  EXPECT_EQ(RowsOf(second.db, "Hotels"), 1u);
+  EXPECT_EQ(second.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // WAL segment round-trips, reopen-for-append, the fsync-policy matrix,
-// and torn-tail truncation (storage/wal.h).
+// torn-tail truncation, hostile counts in CRC-valid frames, and the two
+// CRC32C paths (storage/wal.h).
 
 #include "storage/wal.h"
 
@@ -12,6 +13,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "storage/codec.h"
 
 namespace entangled {
 namespace {
@@ -232,15 +236,89 @@ TEST(WalTest, DamagedHeaderIsReportedNotCrashed) {
   EXPECT_FALSE(read->error.empty());
 }
 
-TEST(WalTest, Crc32cKnownVector) {
-  // RFC 3720 test vector: 32 zero bytes.
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+/// Writes a segment header for epoch 0 followed by `frames`, each as
+/// a CRC-valid `u32 length | u32 crc | payload` frame.
+void WriteFramedSegment(const std::string& path,
+                        const std::vector<std::vector<uint8_t>>& frames) {
+  { auto writer = WalWriter::Create(path, 0, FsyncPolicy::kNone); }
+  std::vector<uint8_t> bytes;
+  for (const std::vector<uint8_t>& payload : frames) {
+    codec::PutU32(&bytes, static_cast<uint32_t>(payload.size()));
+    codec::PutU32(&bytes, Crc32c(payload.data(), payload.size()));
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+  }
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(WalTest, BatchClaimingFourBillionEntriesIsNotAnAbort) {
+  // Regression: a CRC-valid kSubmitBatch frame claiming 0xFFFFFFFF
+  // entries once made the decoder reserve by that count and abort on
+  // std::bad_alloc.  It is a malformed record: corruption mid-segment,
+  // a torn tail at the end.
+  std::vector<uint8_t> hostile = {
+      static_cast<uint8_t>(WalRecord::Kind::kSubmitBatch)};
+  codec::PutI64(&hostile, -1);          // session
+  codec::PutU32(&hostile, 0xFFFFFFFFu);  // entries, none present
+  WalRecord flush;
+  flush.kind = WalRecord::Kind::kFlush;
+  TempFile file("wal-0000000000.log");
+
+  WriteFramedSegment(file.path(), {hostile, EncodeWalRecord(flush)});
+  auto read = ReadWalSegment(file.path());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->corrupt);
+  EXPECT_NE(read->error.find("malformed record"), std::string::npos)
+      << read->error;
+  EXPECT_TRUE(read->records.empty());
+
+  WriteFramedSegment(file.path(), {EncodeWalRecord(flush), hostile});
+  read = ReadWalSegment(file.path());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_FALSE(read->corrupt);
+  EXPECT_TRUE(read->torn_tail);
+  ASSERT_EQ(read->records.size(), 1u);
+  EXPECT_TRUE(read->records[0] == flush);
+}
+
+/// The RFC 3720 (iSCSI) CRC32C vectors, checked on `crc`.
+void ExpectRfc3720Vectors(uint32_t (*crc)(const void*, size_t, uint32_t)) {
+  std::vector<uint8_t> bytes(32, 0);
+  EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), 0x8A9136AAu);
+  bytes.assign(32, 0xFF);
+  EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), 0x62A8AB43u);
+  for (size_t i = 0; i < 32; ++i) bytes[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), 0x46DD794Eu);
+  for (size_t i = 0; i < 32; ++i) bytes[i] = static_cast<uint8_t>(31 - i);
+  EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), 0x113FDB5Cu);
   // Chaining: crc(a+b) == crc(b, crc(a)).
   const char* text = "coordination";
-  uint32_t whole = Crc32c(text, 12);
-  uint32_t chained = Crc32c(text + 5, 7, Crc32c(text, 5));
-  EXPECT_EQ(whole, chained);
+  EXPECT_EQ(crc(text, 12, 0), crc(text + 5, 7, crc(text, 5, 0)));
+}
+
+TEST(WalTest, Crc32cKnownVector) {
+  ExpectRfc3720Vectors(&Crc32c);
+  ExpectRfc3720Vectors(&Crc32cTableLoop);
+  if (!Crc32cSse42Supported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  ExpectRfc3720Vectors(&Crc32cSse42);
+}
+
+TEST(WalTest, Crc32cPathsAgreeOnRandomBuffers) {
+  if (!Crc32cSse42Supported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  Rng rng(3720);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+  uint32_t seed = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = static_cast<size_t>(trial) % 8;
+    const size_t length = static_cast<size_t>(rng.NextBounded(4097));
+    const uint8_t* start = buffer.data() + offset;
+    const uint32_t expected = Crc32cTableLoop(start, length, seed);
+    ASSERT_EQ(Crc32cSse42(start, length, seed), expected)
+        << "offset " << offset << " length " << length << " seed " << seed;
+    seed = expected;  // chain: the next trial continues this checksum
+  }
 }
 
 }  // namespace
