@@ -1,13 +1,21 @@
-// Query parsing: ParseQuery on the texts the end-to-end benchmark
-// submits.  Every submitted text is parsed at least twice on its way in
-// (the session's admission check and the sharded engine's staging
-// parse; the durable decorator validates it once more and recovery
-// parses each replayed record), so this is a per-text cost on every
-// submit path.
+// Query text on the service's hot path: ParseQuery on the texts the
+// end-to-end benchmark submits, and the rendering and Delivery
+// materialization every delivered participant pays.  Every submitted
+// text is parsed at least twice on its way in (the session's admission
+// check and the sharded engine's staging parse; the durable decorator
+// validates it once more and recovery parses each replayed record), and
+// MakeDelivery renders each participant's text back out.
 //
-// Two series, one per perfbench shape (perfbench/coordbench.cc
-// MakeSpec, seed 1), each parsing the whole 4,000-text stream into a
-// fresh QuerySet per text after one warm-up pass:
+// Three series per perfbench shape (perfbench/coordbench.cc MakeSpec,
+// seed 1), each over the whole 4,000-text stream after one warm-up
+// pass:
+//
+//   parse_*:     ParseQuery into a fresh QuerySet per text.
+//   render_*:    QuerySet::QueryToString of each parsed text.
+//   delivery_*:  MakeDelivery of a one-participant solution per parsed
+//                text, every variable bound.
+//
+// Shapes:
 //
 //   social:  2-5 member cliques, one body atom, ~94 bytes per text.
 //   dense:   16-24 member Erdos-Renyi groups, up to 3 body atoms with
@@ -15,7 +23,7 @@
 //
 // Reports ns per text (median, min and max over repetitions) and heap
 // allocations per text, counted by the replacing operator new below.
-// CHECK-fails when a shape exceeds its allocation gate.
+// CHECK-fails when a series exceeds its allocation gate.
 //
 // Emits BENCH_JSON records (see tools/run_benches.sh); the committed
 // BENCH_parse.json at the repo root is the perf trajectory.
@@ -28,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "api/delivery.h"
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -55,10 +64,14 @@ namespace {
 
 constexpr int kReps = 21;
 
+/// Heap allocations per rendered text, and per delivered participant.
+constexpr double kRenderAllocGate = 2;
+constexpr double kDeliveryAllocGate = 12;
+
 struct Shape {
   const char* name;
   bool dense;
-  double alloc_gate;  ///< max heap allocations per text
+  double parse_alloc_gate;  ///< max heap allocations per parsed text
 };
 
 /// The perfbench workload's generator options (MakeSpec, scale 1).
@@ -107,24 +120,17 @@ std::vector<std::string> Texts(bool dense) {
   return texts;
 }
 
-void ParseAll(const std::vector<std::string>& texts) {
-  for (const std::string& text : texts) {
-    QuerySet set;
-    ENTANGLED_CHECK(ParseQuery(text, &set).ok()) << text;
-  }
-}
-
-void RunShape(const Shape& shape) {
-  const std::vector<std::string> texts = Texts(shape.dense);
-  ENTANGLED_CHECK(!texts.empty());
-  size_t bytes = 0;
-  for (const std::string& text : texts) bytes += text.size();
-  const double n = static_cast<double>(texts.size());
-
-  ParseAll(texts);  // warm-up: interns every constant once
-
+/// Runs `pass` (one pass over the `n` texts) once to warm up, once
+/// counting heap allocations, then kReps times on the clock; prints and
+/// records the series (`fields` after "texts") and CHECKs its
+/// allocation gate.
+template <typename Pass>
+void Measure(const std::string& series, double n, double alloc_gate,
+             std::vector<std::pair<std::string, double>> fields,
+             const Pass& pass) {
+  pass();
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  ParseAll(texts);
+  pass();
   const double allocs_per_text =
       static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
                           before) /
@@ -134,26 +140,76 @@ void RunShape(const Shape& shape) {
   ns_per_text.reserve(kReps);
   for (int rep = 0; rep < kReps; ++rep) {
     WallTimer timer;
-    ParseAll(texts);
+    pass();
     ns_per_text.push_back(static_cast<double>(timer.ElapsedNanos()) / n);
   }
   std::sort(ns_per_text.begin(), ns_per_text.end());
   const double median = ns_per_text[ns_per_text.size() / 2];
 
-  benchutil::PrintRow({shape.dense ? 1.0 : 0.0, median, ns_per_text.front(),
-                       ns_per_text.back(), allocs_per_text});
-  benchutil::PrintJsonRecord(
-      std::string("parse_") + shape.name,
-      {{"texts", n},
-       {"mean_bytes", static_cast<double>(bytes) / n},
-       {"reps", kReps},
-       {"ns_per_text_median", median},
-       {"ns_per_text_min", ns_per_text.front()},
-       {"ns_per_text_max", ns_per_text.back()},
-       {"allocs_per_text", allocs_per_text},
-       {"alloc_gate", shape.alloc_gate}});
-  ENTANGLED_CHECK_LE(allocs_per_text, shape.alloc_gate)
-      << shape.name << ": heap allocations per parsed text above the gate";
+  benchutil::PrintRow(
+      {median, ns_per_text.front(), ns_per_text.back(), allocs_per_text});
+  fields.insert(fields.begin(), {"texts", n});
+  fields.insert(fields.end(), {{"reps", kReps},
+                               {"ns_per_text_median", median},
+                               {"ns_per_text_min", ns_per_text.front()},
+                               {"ns_per_text_max", ns_per_text.back()},
+                               {"allocs_per_text", allocs_per_text},
+                               {"alloc_gate", alloc_gate}});
+  benchutil::PrintJsonRecord(series, fields);
+  ENTANGLED_CHECK_LE(allocs_per_text, alloc_gate)
+      << series << ": heap allocations per text above the gate";
+}
+
+void RunShape(const Shape& shape) {
+  const std::vector<std::string> texts = Texts(shape.dense);
+  ENTANGLED_CHECK(!texts.empty());
+  const double n = static_cast<double>(texts.size());
+
+  size_t text_bytes = 0;
+  for (const std::string& text : texts) text_bytes += text.size();
+  Measure(std::string("parse_") + shape.name, n, shape.parse_alloc_gate,
+          {{"mean_bytes", static_cast<double>(text_bytes) / n}}, [&] {
+            for (const std::string& text : texts) {
+              QuerySet set;
+              ENTANGLED_CHECK(ParseQuery(text, &set).ok()) << text;
+            }
+          });
+
+  // One parsed set per text, and a solution binding every variable of
+  // its query (each variable to its own id: the values do not matter,
+  // Value is a 16-byte POD).
+  std::vector<QuerySet> sets(texts.size());
+  std::vector<CoordinationSolution> solutions(texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ENTANGLED_CHECK(ParseQuery(texts[i], &sets[i]).ok());
+    solutions[i].queries = {0};
+    for (VarId v : sets[i].query(0).Variables()) {
+      solutions[i].assignment.emplace(v, Value::Int(v));
+    }
+  }
+
+  size_t rendered_bytes = 0;
+  for (const QuerySet& set : sets) {
+    rendered_bytes += set.QueryToString(0).size();
+  }
+  Measure(std::string("render_") + shape.name, n, kRenderAllocGate,
+          {{"mean_bytes", static_cast<double>(rendered_bytes) / n}}, [&] {
+            size_t bytes = 0;
+            for (const QuerySet& set : sets) {
+              bytes += set.QueryToString(0).size();
+            }
+            ENTANGLED_CHECK_EQ(bytes, rendered_bytes);
+          });
+
+  Measure(std::string("delivery_") + shape.name, n, kDeliveryAllocGate, {},
+          [&] {
+            size_t bytes = 0;
+            for (size_t i = 0; i < sets.size(); ++i) {
+              const Delivery delivery = MakeDelivery(sets[i], solutions[i], i);
+              bytes += delivery.queries[0].text.size();
+            }
+            ENTANGLED_CHECK_EQ(bytes, rendered_bytes);
+          });
 }
 
 }  // namespace
@@ -162,13 +218,12 @@ void RunShape(const Shape& shape) {
 int main() {
   using namespace entangled;
   benchutil::PrintSeriesHeader(
-      "Query parsing: ParseQuery into a fresh set, perfbench shapes",
-      {"series", "ns_per_text_median", "ns_min", "ns_max",
-       "allocs_per_text"});
-  RunShape({"social", /*dense=*/false, /*alloc_gate=*/16});
-  RunShape({"dense", /*dense=*/true, /*alloc_gate=*/24});
+      "Query text: parse, render and deliver, perfbench shapes",
+      {"ns_per_text_median", "ns_min", "ns_max", "allocs_per_text"});
+  RunShape({"social", /*dense=*/false, /*parse_alloc_gate=*/16});
+  RunShape({"dense", /*dense=*/true, /*parse_alloc_gate=*/24});
   benchutil::PrintNote(
-      "series 0 = social, 1 = dense; one fresh QuerySet per text, "
+      "rows: parse, render, delivery for social, then for dense; each "
       "after a warm-up pass that interns every constant");
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -46,17 +45,7 @@ bool SolveRec(SearchContext* ctx, size_t pending_index,
   if (pending_index == ctx->pending.size()) {
     // Every postcondition is matched: try to ground the combined body.
     Substitution leaf = subst;
-    std::vector<Atom> body;
-    std::unordered_set<std::string> seen;
-    for (QueryId q : ctx->chosen) {
-      for (const Atom& atom : set.query(q).body) {
-        Atom applied = leaf.Apply(atom);
-        std::string key = applied.ToString();
-        if (seen.insert(std::move(key)).second) {
-          body.push_back(std::move(applied));
-        }
-      }
-    }
+    const std::vector<Atom> body = CombinedBody(set, ctx->chosen, &leaf);
     std::optional<Binding> witness = ctx->evaluator->FindOne(body);
     if (!witness.has_value()) return false;
     std::vector<QueryId> queries = ctx->chosen;

@@ -1,7 +1,6 @@
 #include "algo/gupta_baseline.h"
 
 #include <optional>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -53,18 +52,8 @@ Result<CoordinationSolution> GuptaBaseline::Solve(const QuerySet& set) {
 
   // One combined query over all bodies.
   std::vector<QueryId> all;
-  std::vector<Atom> body;
-  std::unordered_set<std::string> seen;
-  for (const EntangledQuery& query : set.queries()) {
-    all.push_back(query.id);
-    for (const Atom& atom : query.body) {
-      Atom applied = subst.Apply(atom);
-      std::string key = applied.ToString();
-      if (seen.insert(std::move(key)).second) {
-        body.push_back(std::move(applied));
-      }
-    }
-  }
+  for (const EntangledQuery& query : set.queries()) all.push_back(query.id);
+  const std::vector<Atom> body = CombinedBody(set, all, &subst);
   Evaluator evaluator(db_);
   const uint64_t before = db_->stats().conjunctive_queries;
   std::optional<Binding> witness = evaluator.FindOne(body);

@@ -305,17 +305,7 @@ Result<CoordinationSolution> SccCoordinator::SolveWithEdges(
 
     // Combined conjunctive query: all bodies of R(c) under the unifier,
     // with exact duplicates dropped (overlapping successor sets).
-    std::vector<Atom> body;
-    std::unordered_set<std::string> seen;
-    for (QueryId q : r) {
-      for (const Atom& atom : set.query(q).body) {
-        Atom applied = subst.Apply(atom);
-        std::string key = applied.ToString();
-        if (seen.insert(std::move(key)).second) {
-          body.push_back(std::move(applied));
-        }
-      }
-    }
+    const std::vector<Atom> body = CombinedBody(set, r, &subst);
     ++stats_.db_queries;
     std::optional<Binding> witness = evaluator.FindOne(body);
     if (use_memo) {
@@ -324,10 +314,10 @@ Result<CoordinationSolution> SccCoordinator::SolveWithEdges(
       entry.grounded = witness.has_value();
       entry.subst = subst;
       if (witness.has_value()) entry.witness = *witness;
-      std::unordered_set<std::string> stamped;
+      std::unordered_set<const Relation*> stamped;
       for (const Atom& atom : body) {
-        if (!stamped.insert(atom.relation).second) continue;
         const Relation* relation = db_->Find(atom.relation);
+        if (!stamped.insert(relation).second) continue;
         entry.stamps.emplace_back(
             relation, relation != nullptr ? relation->version()
                                           : db_->version());

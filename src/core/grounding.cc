@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -36,6 +37,27 @@ Atom GroundAtom(const Atom& atom, const Binding& assignment) {
     result.terms.push_back(Term::Const(*value));
   }
   return result;
+}
+
+std::vector<Atom> CombinedBody(const QuerySet& set,
+                               const std::vector<QueryId>& queries,
+                               Substitution* subst) {
+  size_t total = 0;
+  for (QueryId q : queries) total += set.query(q).body.size();
+  std::vector<Atom> body;
+  body.reserve(total);
+  // Positions in `body`, hashed and compared by the atoms they hold.
+  auto hash = [&body](size_t i) { return AtomHash{}(body[i]); };
+  auto equal = [&body](size_t a, size_t b) { return body[a] == body[b]; };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> kept(
+      total, hash, equal);
+  for (QueryId q : queries) {
+    for (const Atom& atom : set.query(q).body) {
+      body.push_back(subst->Apply(atom));
+      if (!kept.insert(body.size() - 1).second) body.pop_back();
+    }
+  }
+  return body;
 }
 
 std::optional<Value> AnyDomainValue(const Database& db) {

@@ -30,6 +30,15 @@ struct CoordinationSolution {
 /// unassigned variables.
 Atom GroundAtom(const Atom& atom, const Binding& assignment);
 
+/// \brief The combined conjunctive query of `queries`: every body atom
+/// under `subst`, in query order, keeping only the first of atoms equal
+/// by structure (Atom::operator==, so `R(5)` and `R('5')` both stay).
+/// Expected O(total body atoms).  `subst` is non-const because Apply
+/// path-compresses.
+std::vector<Atom> CombinedBody(const QuerySet& set,
+                               const std::vector<QueryId>& queries,
+                               Substitution* subst);
+
 /// Human-readable rendering of a solution ("{qC, qG} with h = {...}").
 std::string SolutionToString(const QuerySet& set,
                              const CoordinationSolution& solution);

@@ -1,6 +1,9 @@
 #include "core/query.h"
 
-#include <sstream>
+#include <charconv>
+#include <iterator>
+#include <limits>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -157,64 +160,128 @@ std::vector<QueryId> QuerySet::AdoptAll(const QuerySet& src) {
   return AdoptQueries(src, ids);
 }
 
-std::string QuerySet::TermToString(const Term& term) const {
-  if (term.is_constant()) {
-    const Value& value = term.constant();
-    if (value.is_int()) return value.ToString();
-    // The grammar has no escapes, so a string holding `'` (which then
-    // cannot also hold `"`: no parsed value has both) takes `"`.
-    const std::string& s = value.AsString();
-    const char quote = s.find('\'') == std::string::npos ? '\'' : '"';
-    return quote + s + quote;
+namespace {
+
+/// Appends QuerySet renderings to one string: a whole query costs one
+/// buffer, with no streams and no per-atom or per-term temporaries.
+class Renderer {
+ public:
+  Renderer(const QuerySet& set, std::string* out) : set_(set), out_(*out) {}
+
+  void AppendTerm(const Term& term) {
+    if (term.is_constant()) {
+      const Value& value = term.constant();
+      if (value.is_int()) {
+        // A sign and up to 19 digits (INT64_MIN).
+        char digits[std::numeric_limits<int64_t>::digits10 + 2];
+        char* end = std::to_chars(digits, std::end(digits), value.AsInt()).ptr;
+        out_.append(digits, end);
+        return;
+      }
+      // The grammar has no escapes, so a string holding `'` (which then
+      // cannot also hold `"`: no parsed value has both) takes `"`.
+      const std::string& s = value.AsString();
+      const char quote = s.find('\'') == std::string::npos ? '\'' : '"';
+      out_ += quote;
+      out_ += s;
+      out_ += quote;
+      return;
+    }
+    const std::string& name = set_.var_name(term.var());
+    // The parser names each `_` wildcard `_0`, `_1`, ...; printed back
+    // as `_N` it would re-parse as a string constant.  Each wildcard
+    // occurs once, so a bare `_` (a fresh variable per occurrence)
+    // round-trips.
+    if (!name.empty() && name[0] == '_') {
+      out_ += '_';
+    } else {
+      out_ += name;
+    }
   }
-  const std::string& name = var_name(term.var());
-  // The parser names each `_` wildcard `_0`, `_1`, ...; printed back as
-  // `_N` it would re-parse as a string constant.  Each wildcard occurs
-  // once, so a bare `_` (a fresh variable per occurrence) round-trips.
-  if (!name.empty() && name[0] == '_') return "_";
-  return name;
+
+  void AppendAtom(const Atom& atom) {
+    out_ += atom.relation;
+    out_ += '(';
+    for (size_t i = 0; i < atom.terms.size(); ++i) {
+      if (i > 0) out_ += ", ";
+      AppendTerm(atom.terms[i]);
+    }
+    out_ += ')';
+  }
+
+  void AppendAtomList(const std::vector<Atom>& atoms,
+                      std::string_view empty) {
+    if (atoms.empty()) {
+      out_ += empty;
+      return;
+    }
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (i > 0) out_ += ", ";
+      AppendAtom(atoms[i]);
+    }
+  }
+
+  void AppendQuery(const EntangledQuery& q) {
+    if (!q.name.empty()) {
+      out_ += q.name;
+      out_ += ": ";
+    }
+    out_ += '{';
+    AppendAtomList(q.postconditions, "");
+    out_ += "} ";
+    AppendAtomList(q.head, "");
+    out_ += " :- ";
+    AppendAtomList(q.body, "");
+    out_ += '.';
+  }
+
+ private:
+  const QuerySet& set_;
+  std::string& out_;
+};
+
+}  // namespace
+
+std::string QuerySet::TermToString(const Term& term) const {
+  std::string out;
+  Renderer(*this, &out).AppendTerm(term);
+  return out;
 }
 
 std::string QuerySet::AtomToString(const Atom& atom) const {
-  std::ostringstream out;
-  out << atom.relation << "(";
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << TermToString(atom.terms[i]);
-  }
-  out << ")";
-  return out.str();
+  std::string out;
+  Renderer(*this, &out).AppendAtom(atom);
+  return out;
 }
 
 std::string QuerySet::AtomListToString(const std::vector<Atom>& atoms,
                                        const std::string& empty) const {
-  if (atoms.empty()) return empty;
-  std::vector<std::string> pieces;
-  pieces.reserve(atoms.size());
-  std::ostringstream out;
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << AtomToString(atoms[i]);
-  }
-  return out.str();
+  std::string out;
+  Renderer(*this, &out).AppendAtomList(atoms, empty);
+  return out;
 }
 
 std::string QuerySet::QueryToString(QueryId id) const {
   const EntangledQuery& q = query(id);
-  std::ostringstream out;
-  if (!q.name.empty()) out << q.name << ": ";
-  out << "{" << AtomListToString(q.postconditions, "") << "} "
-      << AtomListToString(q.head, "") << " :- "
-      << AtomListToString(q.body, "") << ".";
-  return out.str();
+  // Room for the name and punctuation plus each atom at about 24 bytes
+  // (a relation and a few short terms), so a typical query renders with
+  // this one allocation; a longer one grows the buffer geometrically.
+  constexpr size_t kAtomBytes = 24;
+  std::string out;
+  out.reserve(kAtomBytes * (1 + q.postconditions.size() + q.head.size() +
+                            q.body.size()));
+  Renderer(*this, &out).AppendQuery(q);
+  return out;
 }
 
 std::string QuerySet::ToString() const {
-  std::ostringstream out;
+  std::string out;
+  Renderer renderer(*this, &out);
   for (const EntangledQuery& q : queries_) {
-    out << QueryToString(q.id) << "\n";
+    renderer.AppendQuery(q);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 Status QuerySet::CheckWellFormed(const Database& db) const {

@@ -8,21 +8,6 @@
 #include "db/evaluator.h"
 
 namespace entangled {
-namespace {
-
-/// A hashable rendering of a ground atom.
-std::string GroundAtomKey(const Atom& atom) {
-  std::string key = atom.relation;
-  key.push_back('(');
-  for (const Term& term : atom.terms) {
-    key += term.constant().ToString(/*quote=*/true);
-    key.push_back(',');
-  }
-  key.push_back(')');
-  return key;
-}
-
-}  // namespace
 
 Status ValidateSolution(const Database& db, const QuerySet& set,
                         const CoordinationSolution& solution) {
@@ -68,26 +53,26 @@ Status ValidateSolution(const Database& db, const QuerySet& set,
       if (!relation->AnyMatch(pattern)) {
         return Status::FailedPrecondition(
             "condition (2) violated: grounded body atom ",
-            ground.ToString(), " of query ", set.query(q).name,
+            set.AtomToString(ground), " of query ", set.query(q).name,
             " is not in the database");
       }
     }
   }
 
   // Condition (3): grounded postconditions  ⊆  grounded heads.
-  std::unordered_set<std::string> head_keys;
+  std::unordered_set<Atom, AtomHash> heads;
   for (QueryId q : sorted) {
     for (const Atom& atom : set.query(q).head) {
-      head_keys.insert(GroundAtomKey(GroundAtom(atom, solution.assignment)));
+      heads.insert(GroundAtom(atom, solution.assignment));
     }
   }
   for (QueryId q : sorted) {
     for (const Atom& atom : set.query(q).postconditions) {
       Atom ground = GroundAtom(atom, solution.assignment);
-      if (head_keys.find(GroundAtomKey(ground)) == head_keys.end()) {
+      if (heads.find(ground) == heads.end()) {
         return Status::FailedPrecondition(
             "condition (3) violated: grounded postcondition ",
-            ground.ToString(), " of query ", set.query(q).name,
+            set.AtomToString(ground), " of query ", set.query(q).name,
             " matches no grounded head in the set");
       }
     }

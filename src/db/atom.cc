@@ -1,6 +1,9 @@
 #include "db/atom.h"
 
+#include <functional>
 #include <sstream>
+
+#include "common/hash.h"
 
 namespace entangled {
 
@@ -26,6 +29,19 @@ std::string Atom::ToString() const {
   }
   out << ")";
   return out.str();
+}
+
+size_t AtomHash::operator()(const Atom& atom) const {
+  size_t seed = std::hash<std::string>{}(atom.relation);
+  for (const Term& term : atom.terms) {
+    HashCombine(&seed, term.is_variable());
+    if (term.is_variable()) {
+      HashCombine(&seed, term.var());
+    } else {
+      HashCombine(&seed, term.constant());
+    }
+  }
+  return seed;
 }
 
 bool PositionwiseUnifiable(const Atom& a, const Atom& b) {

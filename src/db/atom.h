@@ -42,6 +42,13 @@ struct Atom {
   friend bool operator!=(const Atom& a, const Atom& b) { return !(a == b); }
 };
 
+/// \brief Hash functor consistent with Atom's operator==: the relation
+/// and every term, variables by id and constants by value.  Atoms that
+/// print alike but differ, such as `R(5)` and `R('5')`, stay apart.
+struct AtomHash {
+  size_t operator()(const Atom& atom) const;
+};
+
 /// \brief The paper's unifiability test on atom pairs (§2.3): same
 /// relation, same arity, and no position where both atoms carry distinct
 /// constants.

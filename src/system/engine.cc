@@ -613,12 +613,12 @@ void CoordinationEngine::RecordCleanFailure(ComponentState* state) const {
   // domain scan of CompleteAssignment runs only on deliveries, which
   // destroy the state anyway).  A body naming an absent relation pins
   // the catalog version instead, so a later CreateRelation invalidates.
-  std::unordered_set<std::string> seen;
+  std::unordered_set<const Relation*> seen;
   const QuerySet& subset = state->task.subset;
   for (QueryId q = 0; q < static_cast<QueryId>(subset.size()); ++q) {
     for (const Atom& atom : subset.query(q).body) {
-      if (!seen.insert(atom.relation).second) continue;
       const Relation* relation = db_->Find(atom.relation);
+      if (!seen.insert(relation).second) continue;
       state->stamps.emplace_back(
           relation,
           relation != nullptr ? relation->version() : db_->version());

@@ -183,5 +183,42 @@ TEST(ValidatorSelfTest, EmptyDomainMeansNoWitness) {
   EXPECT_FALSE(FindCoordinatingWitness(db, set, {*id}).has_value());
 }
 
+/// Ground atoms are compared by structure, not by a printed key: the
+/// comma-joined key of A('a', "b','c") equalled that of A("a','b", 'c').
+TEST(ValidatorSelfTest, HeadWithCommasInsideStringsMatchesNoPostcondition) {
+  Database db;
+  Relation* r = *db.CreateRelation("R", {"a", "b"});
+  ASSERT_TRUE(r->Insert({Value::Int(5), Value::Int(1)}).ok());
+  QuerySet set;
+  auto ids = ParseQueries(
+      "q1: { A('a', \"b','c\") } H(1) :- R(5, 1).\n"
+      "q2: {} A(\"a','b\", 'c') :- R(5, 1).",
+      &set);
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  CoordinationSolution solution{*ids, Binding()};
+  Status status = ValidateSolution(db, set, solution);
+  ASSERT_TRUE(status.IsFailedPrecondition()) << status;
+  EXPECT_NE(status.message().find("condition (3)"), std::string::npos);
+}
+
+/// The condition (2) message names the missing fact as it would be
+/// written: R('5', 1), not R(5, 1), which is in the database.
+TEST(ValidatorSelfTest, MissingBodyFactIsQuotedInTheMessage) {
+  Database db;
+  Relation* r = *db.CreateRelation("R", {"a", "b"});
+  ASSERT_TRUE(r->Insert({Value::Int(5), Value::Int(1)}).ok());
+  QuerySet set;
+  auto id = ParseQuery("q: {} A(x) :- R(5, x), R('5', x).", &set);
+  ASSERT_TRUE(id.ok()) << id.status();
+  CoordinationSolution solution{{*id}, Binding()};
+  solution.assignment.emplace(set.query(*id).head[0].terms[0].var(),
+                              Value::Int(1));
+  Status status = ValidateSolution(db, set, solution);
+  ASSERT_TRUE(status.IsFailedPrecondition()) << status;
+  EXPECT_NE(status.message().find("condition (2)"), std::string::npos);
+  EXPECT_NE(status.message().find("R('5', 1)"), std::string::npos)
+      << status.message();
+}
+
 }  // namespace
 }  // namespace entangled

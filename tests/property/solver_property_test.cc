@@ -15,7 +15,8 @@ namespace entangled {
 namespace {
 
 /// Property: on random *safe* instances (random coordination structure,
-/// some bodies unsatisfiable), the SCC Coordination Algorithm
+/// some bodies unsatisfiable, some through a print-twin atom), the SCC
+/// Coordination Algorithm
 ///  (a) finds a coordinating set iff the brute-force oracle does,
 ///  (b) returns only valid solutions (independent Definition-1 check),
 ///  (c) never exceeds the oracle's maximum size.
@@ -34,6 +35,18 @@ TEST_P(SccVsBruteForce, AgreesWithOracle) {
   for (QueryId id : ids) {
     if (rng.NextBool(0.25)) {
       set.mutable_query(id).body[0].terms[1] = Term::Str("ghost");
+    }
+  }
+  // Poison others with a print-twin of the body atom Users(x, handle):
+  // Users('?N', handle), N being x's id, prints like it under
+  // Atom::ToString but matches no row (ids are integers).  A solver
+  // that drops body atoms by their printed text never checks it.
+  for (QueryId id : ids) {
+    if (rng.NextBool(0.25)) {
+      std::vector<Atom>& body = set.mutable_query(id).body;
+      Atom twin = body[0];
+      twin.terms[0] = Term::Str("?" + std::to_string(twin.terms[0].var()));
+      body.push_back(std::move(twin));
     }
   }
   ASSERT_TRUE(IsSafeSet(set));
