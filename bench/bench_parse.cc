@@ -1,10 +1,10 @@
 // Query text on the service's hot path: ParseQuery on the texts the
-// end-to-end benchmark submits, and the rendering and Delivery
-// materialization every delivered participant pays.  Every submitted
-// text is parsed at least twice on its way in (the session's admission
-// check and the sharded engine's staging parse; the durable decorator
-// validates it once more and recovery parses each replayed record), and
-// MakeDelivery renders each participant's text back out.
+// end-to-end benchmark submits, the admission of those texts through
+// the session front door, and the rendering and Delivery
+// materialization every delivered participant pays.  A submitted text
+// is parsed once, by the session, and every layer below takes that
+// parse (CoordinationService::SubmitParsed); MakeDelivery renders each
+// participant's text back out.
 //
 // Three series per perfbench shape (perfbench/coordbench.cc MakeSpec,
 // seed 1), each over the whole 4,000-text stream after one warm-up
@@ -14,6 +14,18 @@
 //   render_*:    QuerySet::QueryToString of each parsed text.
 //   delivery_*:  MakeDelivery of a one-participant solution per parsed
 //                text, every variable bound.
+//
+// Two admission series over the social texts, each ClientSession::Submit
+// on a stack built fresh (and untimed) for every repetition, with
+// automatic evaluation off so the series is admission alone:
+//
+//   admit_social:   SessionManager -> ShardedCoordinationEngine.
+//   admit_durable:  SessionManager -> DurableCoordinationService (WAL
+//                   in a temporary directory, no fsync) ->
+//                   ShardedCoordinationEngine.
+//
+// They also report parses per admitted text (core/parser.h ParseCount)
+// and CHECK-fail unless it is exactly 1.
 //
 // Shapes:
 //
@@ -28,32 +40,39 @@
 // Emits BENCH_JSON records (see tools/run_benches.sh); the committed
 // BENCH_parse.json at the repo root is the perf trajectory.
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "api/delivery.h"
+#include "api/session.h"
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/parser.h"
+#include "storage/durable_service.h"
+#include "system/sharded_engine.h"
 #include "workload/generator.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// None of these is inlined: GCC would otherwise see malloc() and free()
+// meet the replaced operators at a call site and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Not inlined: GCC would otherwise see free() meet a pointer from
-// operator new at each call site and warn of a mismatch.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -160,6 +179,109 @@ void Measure(const std::string& series, double n, double alloc_gate,
       << series << ": heap allocations per text above the gate";
 }
 
+/// One admission stack: sessions over (durable over) sharded, with
+/// automatic evaluation off.
+class AdmissionStack {
+ public:
+  AdmissionStack(const Database* db, bool durable) {
+    ShardedEngineOptions options;
+    options.engine.evaluate_every = 0;
+    engine_ = std::make_unique<ShardedCoordinationEngine>(db, options);
+    CoordinationService* top = engine_.get();
+    if (durable) {
+      char tmpl[] = "/tmp/bench_parse_XXXXXX";
+      ENTANGLED_CHECK(mkdtemp(tmpl) != nullptr);
+      dir_ = tmpl;
+      DurabilityOptions durability;
+      durability.dir = dir_;
+      durability.fsync = FsyncPolicy::kNone;
+      durability.initial_evaluate_every = 0;
+      auto created = DurableCoordinationService::Create(top, db, durability);
+      ENTANGLED_CHECK(created.ok()) << created.status().ToString();
+      durable_ = std::move(*created);
+      top = durable_.get();
+    }
+    manager_ = std::make_unique<SessionManager>(top);
+    session_ = manager_->Open();
+  }
+
+  ~AdmissionStack() {
+    manager_.reset();
+    durable_.reset();
+    engine_.reset();
+    if (dir_.empty()) return;
+    if (DIR* dir = opendir(dir_.c_str())) {
+      while (dirent* entry = readdir(dir)) {
+        const std::string name = entry->d_name;
+        if (name != "." && name != "..") ::unlink((dir_ + "/" + name).c_str());
+      }
+      closedir(dir);
+    }
+    ::rmdir(dir_.c_str());
+  }
+
+  ClientSession* session() { return session_; }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<ShardedCoordinationEngine> engine_;
+  std::unique_ptr<DurableCoordinationService> durable_;
+  std::unique_ptr<SessionManager> manager_;
+  ClientSession* session_ = nullptr;
+};
+
+/// Submits every text through a fresh stack's session: once to warm up,
+/// once counting allocations and parses, then kReps times on the clock
+/// (the stack is built and torn down outside the timed loop).  Prints
+/// and records the series and CHECKs one parse per text.
+void MeasureAdmission(const std::string& series, const Database& db,
+                      bool durable, const std::vector<std::string>& texts) {
+  const double n = static_cast<double>(texts.size());
+  auto pass = [&](uint64_t* allocations, uint64_t* parses) {
+    AdmissionStack stack(&db, durable);
+    const uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t parses_before = ParseCount();
+    WallTimer timer;
+    for (const std::string& text : texts) {
+      const SubmitOutcome outcome = stack.session()->Submit(text);
+      ENTANGLED_CHECK(outcome.ok()) << outcome.message;
+    }
+    const int64_t nanos = timer.ElapsedNanos();
+    *allocations = g_allocations.load(std::memory_order_relaxed) -
+                   allocs_before;
+    *parses = ParseCount() - parses_before;
+    return static_cast<double>(nanos) / n;
+  };
+  uint64_t allocations = 0;
+  uint64_t parses = 0;
+  pass(&allocations, &parses);
+  pass(&allocations, &parses);
+  const double allocs_per_text = static_cast<double>(allocations) / n;
+  const double parses_per_text = static_cast<double>(parses) / n;
+
+  std::vector<double> ns_per_text;
+  ns_per_text.reserve(kReps);
+  for (int rep = 0; rep < kReps; ++rep) {
+    uint64_t unused = 0;
+    ns_per_text.push_back(pass(&unused, &unused));
+  }
+  std::sort(ns_per_text.begin(), ns_per_text.end());
+  const double median = ns_per_text[ns_per_text.size() / 2];
+
+  benchutil::PrintRow({median, ns_per_text.front(), ns_per_text.back(),
+                       allocs_per_text, parses_per_text});
+  benchutil::PrintJsonRecord(series, {{"texts", n},
+                                      {"reps", kReps},
+                                      {"ns_per_text_median", median},
+                                      {"ns_per_text_min", ns_per_text.front()},
+                                      {"ns_per_text_max", ns_per_text.back()},
+                                      {"allocs_per_text", allocs_per_text},
+                                      {"parses_per_text", parses_per_text}});
+  ENTANGLED_CHECK_EQ(parses, texts.size())
+      << series << ": admission parsed a text more than once";
+}
+
 void RunShape(const Shape& shape) {
   const std::vector<std::string> texts = Texts(shape.dense);
   ENTANGLED_CHECK(!texts.empty());
@@ -212,6 +334,15 @@ void RunShape(const Shape& shape) {
           });
 }
 
+void RunAdmission() {
+  const std::vector<std::string> texts = Texts(/*dense=*/false);
+  Database db;
+  ENTANGLED_CHECK(
+      WorkloadGenerator(PerfbenchOptions(false)).BuildDatabase(&db).ok());
+  MeasureAdmission("admit_social", db, /*durable=*/false, texts);
+  MeasureAdmission("admit_durable", db, /*durable=*/true, texts);
+}
+
 }  // namespace
 }  // namespace entangled
 
@@ -225,5 +356,13 @@ int main() {
   benchutil::PrintNote(
       "rows: parse, render, delivery for social, then for dense; each "
       "after a warm-up pass that interns every constant");
+  benchutil::PrintSeriesHeader(
+      "Admission through the session front door, perfbench social texts",
+      {"ns_per_text_median", "ns_min", "ns_max", "allocs_per_text",
+       "parses_per_text"});
+  RunAdmission();
+  benchutil::PrintNote(
+      "rows: sessions -> sharded, then sessions -> durable -> sharded; "
+      "evaluation off, stack built outside the clock");
   return 0;
 }

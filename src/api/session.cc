@@ -37,35 +37,19 @@ bool IsSelfUnsafe(const EntangledQuery& query) {
   return false;
 }
 
-/// Per-query admission check; kNone when the text passes (or when the
-/// session forwards verbatim).  `message` receives the detail.  The
-/// scratch parse is the deliberate price of checking *before* the
-/// engine sees the query; sessions with neither defect checks nor a
-/// footprint quota (e.g. the stress harness default) skip it entirely.
-RejectReason CheckText(const SessionOptions& options, const std::string& text,
-                       std::string* message) {
-  const bool check_defective = options.reject_defective;
-  const bool check_footprint = options.max_body_atoms > 0;
-  if (!check_defective && !check_footprint) return RejectReason::kNone;
-  QuerySet scratch;
-  auto parsed = ParseQuery(text, &scratch);
-  if (!parsed.ok()) {
-    // A footprint quota alone does not opt the session into pre-engine
-    // validation: unparseable texts are forwarded verbatim and the
-    // service's own rejection is classified as usual.
-    if (!check_defective) return RejectReason::kNone;
-    *message = parsed.status().message();
-    return RejectReason::kParseError;
-  }
-  const EntangledQuery& query = scratch.query(*parsed);
-  if (check_footprint && query.body.size() > options.max_body_atoms) {
+/// Per-query admission check on the session's parse of the text; kNone
+/// when the query passes.  `message` receives the detail.
+RejectReason CheckQuery(const SessionOptions& options,
+                        const EntangledQuery& query, std::string* message) {
+  if (options.max_body_atoms > 0 &&
+      query.body.size() > options.max_body_atoms) {
     *message = "body of '" + query.name + "' has " +
                std::to_string(query.body.size()) +
                " atoms; this session's footprint quota is " +
                std::to_string(options.max_body_atoms);
     return RejectReason::kQuotaFootprint;
   }
-  if (!check_defective) return RejectReason::kNone;
+  if (!options.reject_defective) return RejectReason::kNone;
   if (HasDuplicateHeads(query)) {
     *message = "two head atoms of '" + query.name +
                "' unify with each other (one answer slot booked twice)";
@@ -464,7 +448,19 @@ SubmitOutcome SessionManager::SubmitFor(ClientSession* session,
     CountReject(outcome.reason);
     return outcome;
   }
-  outcome.reason = CheckText(session->options_, query_text, &outcome.message);
+  // The one parse of the text: every layer below takes it through
+  // SubmitParsed.  Without defect checks an unparseable text goes to
+  // the service verbatim, and the service's own rejection is
+  // classified as usual.
+  QuerySet parsed;
+  const Status parse = ParseQuery(query_text, &parsed).status();
+  if (parse.ok()) {
+    outcome.reason =
+        CheckQuery(session->options_, parsed.query(0), &outcome.message);
+  } else if (session->options_.reject_defective) {
+    outcome.reason = RejectReason::kParseError;
+    outcome.message = parse.message();
+  }
   if (!outcome.ok()) {
     CountReject(outcome.reason);
     return outcome;
@@ -472,7 +468,8 @@ SubmitOutcome SessionManager::SubmitFor(ClientSession* session,
 
   current_submitter_ = session->id_;
   service_->set_session_tag(session->id_);
-  auto id = service_->Submit(query_text);
+  auto id = parse.ok() ? service_->SubmitParsed(query_text, std::move(parsed))
+                       : service_->Submit(query_text);
   service_->set_session_tag(-1);
   current_submitter_ = -1;
   if (!id.ok()) {
@@ -506,9 +503,21 @@ BatchOutcome SessionManager::SubmitBatchFor(
     CountReject(outcome.reason);
     return outcome;
   }
+  // One parse per text, as in SubmitFor; the first unparseable text
+  // (when defects are not rejected) sends the batch verbatim.
+  QuerySet parsed;
+  size_t unparseable = query_texts.size();
   for (size_t i = 0; i < query_texts.size(); ++i) {
-    outcome.reason =
-        CheckText(session->options_, query_texts[i], &outcome.message);
+    auto id = ParseQuery(query_texts[i], &parsed);
+    if (id.ok()) {
+      outcome.reason =
+          CheckQuery(session->options_, parsed.query(*id), &outcome.message);
+    } else if (session->options_.reject_defective) {
+      outcome.reason = RejectReason::kParseError;
+      outcome.message = id.status().message();
+    } else if (unparseable == query_texts.size()) {
+      unparseable = i;
+    }
     if (!outcome.ok()) {
       outcome.rejected_index = i;
       CountReject(outcome.reason);
@@ -518,21 +527,17 @@ BatchOutcome SessionManager::SubmitBatchFor(
 
   current_submitter_ = session->id_;
   service_->set_session_tag(session->id_);
-  auto ids = service_->SubmitBatch(query_texts);
+  auto ids = unparseable == query_texts.size()
+                 ? service_->SubmitBatchParsed(query_texts, std::move(parsed))
+                 : service_->SubmitBatch(query_texts);
   service_->set_session_tag(-1);
   current_submitter_ = -1;
   if (!ids.ok()) {
     outcome.reason = ClassifyServiceRejection(ids.status());
     outcome.message = ids.status().message();
-    // The service reports only the first error; locate the offending
-    // text so the typed outcome stays precise (error path only).
-    for (size_t i = 0; i < query_texts.size(); ++i) {
-      QuerySet scratch;
-      if (!ParseQuery(query_texts[i], &scratch).ok()) {
-        outcome.rejected_index = i;
-        break;
-      }
-    }
+    // The service reports only the first error: the first text that
+    // did not parse here, if any.
+    if (unparseable < query_texts.size()) outcome.rejected_index = unparseable;
     CountReject(outcome.reason);
     return outcome;
   }

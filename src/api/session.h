@@ -102,7 +102,10 @@ struct SessionOptions {
   /// Definition 2 can never hold for a set containing it.  Both checks
   /// are per-query only, so they accept exactly what the engine accepts
   /// on any single-head query (in particular everything the workload
-  /// generator emits); disable them to forward texts verbatim.
+  /// generator emits).  Disabled, an unparseable text is forwarded to
+  /// the service verbatim, and the service's own parse error is what
+  /// the session reports.  Either way the session parses each text
+  /// once and hands the parse down (CoordinationService::SubmitParsed).
   bool reject_defective = true;
 
   // ---- per-session quotas (0 = unlimited).  Every quota rejection is

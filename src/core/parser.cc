@@ -1,6 +1,7 @@
 #include "core/parser.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdint>
 #include <functional>
@@ -447,10 +448,13 @@ class Parser {
   int anon_ = 0;
 };
 
+std::atomic<uint64_t> g_parse_count{0};
+
 /// Parses every query of `text` into `set`; appends their ids to `*ids`
 /// when given.
 Status Parse(std::string_view text, QuerySet* set,
              std::vector<QueryId>* ids) {
+  g_parse_count.fetch_add(1, std::memory_order_relaxed);
   TokenList tokens;
   ENTANGLED_RETURN_IF_ERROR(Lexer(text).Tokenize(&tokens));
   return Parser(tokens, set).ParseProgram(ids);
@@ -482,24 +486,11 @@ Result<QueryId> ParseQuery(const std::string& text, QuerySet* set) {
     *set = std::move(staging);
     return 0;
   }
-  // The parser allocates the staging variables in first-occurrence
-  // order over (postconditions, head, body), which is the order
-  // QuerySet::AdoptQueries allocates in.  So adopting the query just
-  // offsets each variable by the target's count, and the query moves.
-  const VarId base = static_cast<VarId>(set->num_vars());
-  for (VarId v = 0; v < static_cast<VarId>(staging.num_vars()); ++v) {
-    set->NewVar(staging.var_name(v));
-  }
-  EntangledQuery& query = staging.mutable_query(0);
-  for (std::vector<Atom>* atoms :
-       {&query.postconditions, &query.head, &query.body}) {
-    for (Atom& atom : *atoms) {
-      for (Term& term : atom.terms) {
-        if (term.is_variable()) term = Term::Var(base + term.var());
-      }
-    }
-  }
-  return set->AddQuery(std::move(query));
+  return set->MoveQuery(&staging, 0);
+}
+
+uint64_t ParseCount() {
+  return g_parse_count.load(std::memory_order_relaxed);
 }
 
 }  // namespace entangled

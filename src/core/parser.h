@@ -1,6 +1,7 @@
 #ifndef ENTANGLED_CORE_PARSER_H_
 #define ENTANGLED_CORE_PARSER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,12 @@ Result<std::vector<QueryId>> ParseQueries(const std::string& text,
 
 /// \brief Parses exactly one query.
 Result<QueryId> ParseQuery(const std::string& text, QuerySet* set);
+
+/// \brief Texts parsed so far by this process: one per ParseQueries or
+/// ParseQuery call, whether or not it succeeded.  A relaxed counter for
+/// tests and benches that check how often a layered stack parses each
+/// admitted text.
+uint64_t ParseCount();
 
 }  // namespace entangled
 

@@ -1,5 +1,6 @@
 #include "core/query.h"
 
+#include <algorithm>
 #include <charconv>
 #include <iterator>
 #include <limits>
@@ -154,10 +155,38 @@ std::vector<QueryId> QuerySet::AdoptQueries(
   return adopted;
 }
 
-std::vector<QueryId> QuerySet::AdoptAll(const QuerySet& src) {
-  std::vector<QueryId> ids(src.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<QueryId>(i);
-  return AdoptQueries(src, ids);
+QueryId QuerySet::MoveQuery(QuerySet* src, QueryId id) {
+  ENTANGLED_CHECK(src != this) << "cannot move a query within one set";
+  EntangledQuery& query = src->mutable_query(id);
+  std::vector<Atom>* const lists[] = {&query.postconditions, &query.head,
+                                      &query.body};
+  // A dense table over the span of the query's variables renumbers them
+  // in first-occurrence order without hashing.  A parsed query's
+  // variables are contiguous, so the span is its own variable count.
+  VarId lo = std::numeric_limits<VarId>::max();
+  VarId hi = -1;
+  for (const std::vector<Atom>* atoms : lists) {
+    for (const Atom& atom : *atoms) {
+      for (const Term& term : atom.terms) {
+        if (!term.is_variable()) continue;
+        lo = std::min(lo, term.var());
+        hi = std::max(hi, term.var());
+      }
+    }
+  }
+  static thread_local std::vector<VarId> remap;
+  remap.assign(hi >= lo ? static_cast<size_t>(hi - lo) + 1 : 0, VarId{-1});
+  for (std::vector<Atom>* atoms : lists) {
+    for (Atom& atom : *atoms) {
+      for (Term& term : atom.terms) {
+        if (!term.is_variable()) continue;
+        VarId& moved = remap[static_cast<size_t>(term.var() - lo)];
+        if (moved < 0) moved = NewVar(src->var_name(term.var()));
+        term = Term::Var(moved);
+      }
+    }
+  }
+  return AddQuery(std::move(query));
 }
 
 namespace {

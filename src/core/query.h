@@ -108,10 +108,14 @@ class QuerySet {
       const QuerySet& src, const std::vector<QueryId>& ids,
       std::vector<std::pair<VarId, VarId>>* var_map = nullptr);
 
-  /// Whole-set form of AdoptQueries: appends copies of *every* query of
-  /// `src` in id order — how a parsed staging set (a batch, or
-  /// ParseQuery's one query) lands in its target.
-  std::vector<QueryId> AdoptAll(const QuerySet& src);
+  /// Move form of AdoptQueries for one query of a set the caller is
+  /// done with (a parsed staging set, a migration extract): the query's
+  /// atoms and strings move instead of being copied, and its variables
+  /// are renumbered exactly as AdoptQueries({id}) would number them.
+  /// Leaves query `id` of `*src` empty; `*src` must keep its queries
+  /// standardized apart (no variable shared between two of them).
+  /// Returns the new id.
+  QueryId MoveQuery(QuerySet* src, QueryId id);
 
   /// Renders a term/atom/query with variable display names
   /// ("R('C', x1)" instead of "R('C', ?3)"); a variable whose name

@@ -139,10 +139,10 @@ void Evaluator::Search(const std::vector<Atom>& body, const Binding& initial,
   relations.reserve(body.size());
   for (const Atom& atom : body) {
     const Relation* relation = db_->Find(atom.relation);
-    ENTANGLED_CHECK(relation != nullptr)
-        << "unknown relation " << atom.relation << "; call Validate() first";
-    ENTANGLED_CHECK_EQ(relation->arity(), atom.arity())
-        << "arity mismatch on " << atom.ToString();
+    // No row of an absent relation, or of one with another arity, has
+    // this atom's shape: the body has no solution.  A submitted query
+    // can name either; it then simply never grounds.
+    if (relation == nullptr || relation->arity() != atom.arity()) return;
     relations.push_back(relation);
   }
 

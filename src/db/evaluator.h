@@ -37,8 +37,9 @@ class Evaluator {
   /// Finds one assignment extending `initial` that makes every body atom
   /// a tuple of the database (choose-1 semantics: the witness is the
   /// first in deterministic scan order).  Returns nullopt when the query
-  /// is unsatisfiable.  CHECK-fails on schema mismatches; call
-  /// Validate() first for untrusted input.
+  /// is unsatisfiable.  An atom naming an absent relation, or a relation
+  /// of another arity, matches no row (Validate() reports either as an
+  /// error instead).
   std::optional<Binding> FindOne(const std::vector<Atom>& body,
                                  const Binding& initial = {}) const;
 

@@ -10,14 +10,6 @@ namespace entangled {
 
 namespace {
 
-/// Per-text parse into a throwaway set: the admission check the
-/// decorator runs *before* logging, so invalid texts are rejected here
-/// and never reach the log or the inner service.
-Status ValidateText(const std::string& text) {
-  QuerySet scratch;
-  return ParseQuery(text, &scratch).status();
-}
-
 /// Whether `live` holds exactly the schema and rows of `loaded`,
 /// compared row by row.
 bool SameFacts(const Relation& live, const SnapshotRelation& loaded) {
@@ -193,13 +185,14 @@ QueryId DurableCoordinationService::AdmitNext(int64_t session,
 }
 
 void DurableCoordinationService::ForwardSubmit(int64_t session,
-                                               const std::string& text) {
+                                               const std::string& text,
+                                               QuerySet parsed) {
   // Both namespaces allocate in admission order, so the inner id is
   // known ahead of time — and checked after.
   const QueryId expected = AdmitNext(session, text);
-  auto inner_id = inner_->Submit(text);
+  auto inner_id = inner_->SubmitParsed(text, std::move(parsed));
   ENTANGLED_CHECK(inner_id.ok())
-      << "validated submit rejected by the inner service: "
+      << "parsed submit rejected by the inner service: "
       << inner_id.status().ToString();
   ENTANGLED_CHECK_EQ(*inner_id, expected)
       << "inner service id allocation diverged from admission order";
@@ -207,15 +200,15 @@ void DurableCoordinationService::ForwardSubmit(int64_t session,
 }
 
 void DurableCoordinationService::ForwardBatch(
-    int64_t session, const std::vector<std::string>& texts) {
+    int64_t session, const std::vector<std::string>& texts, QuerySet parsed) {
   std::vector<QueryId> expected;
   expected.reserve(texts.size());
   for (const std::string& text : texts) {
     expected.push_back(AdmitNext(session, text));
   }
-  auto inner_ids = inner_->SubmitBatch(texts);
+  auto inner_ids = inner_->SubmitBatchParsed(texts, std::move(parsed));
   ENTANGLED_CHECK(inner_ids.ok())
-      << "validated batch rejected by the inner service: "
+      << "parsed batch rejected by the inner service: "
       << inner_ids.status().ToString();
   ENTANGLED_CHECK(*inner_ids == expected)
       << "inner service id allocation diverged from admission order";
@@ -309,11 +302,31 @@ void DurableCoordinationService::OnInnerDelivery(const Delivery& delivery) {
 
 Result<QueryId> DurableCoordinationService::Submit(
     const std::string& query_text) {
-  ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  if (Status valid = ValidateText(query_text); !valid.ok()) {
+  // Parsed before logging: an invalid text is rejected here and never
+  // reaches the log or the inner service.
+  QuerySet parsed;
+  if (auto id = ParseQuery(query_text, &parsed); !id.ok()) {
     ++rejected_;
-    return valid;
+    return id.status();
   }
+  return SubmitParsed(query_text, std::move(parsed));
+}
+
+Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
+    const std::vector<std::string>& query_texts) {
+  QuerySet parsed;
+  for (const std::string& text : query_texts) {
+    if (auto id = ParseQuery(text, &parsed); !id.ok()) {
+      ++rejected_;  // all-or-nothing: one rejection per refused batch
+      return id.status();
+    }
+  }
+  return SubmitBatchParsed(query_texts, std::move(parsed));
+}
+
+Result<QueryId> DurableCoordinationService::SubmitParsed(
+    const std::string& query_text, QuerySet parsed) {
+  ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
   const int64_t durable_id = next_durable_id_;
   WalRecord record;
   record.kind = WalRecord::Kind::kSubmit;
@@ -322,20 +335,14 @@ Result<QueryId> DurableCoordinationService::Submit(
   record.text = query_text;
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardSubmit(record.session, query_text);
+  ForwardSubmit(record.session, query_text, std::move(parsed));
   MaybeAutoSnapshot();
   return static_cast<QueryId>(durable_id);
 }
 
-Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
-    const std::vector<std::string>& query_texts) {
+Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatchParsed(
+    const std::vector<std::string>& query_texts, QuerySet parsed) {
   ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  for (const std::string& text : query_texts) {
-    if (Status valid = ValidateText(text); !valid.ok()) {
-      ++rejected_;  // all-or-nothing: one rejection per refused batch
-      return valid;
-    }
-  }
   WalRecord record;
   record.kind = WalRecord::Kind::kSubmitBatch;
   record.session = session_tag_;
@@ -346,7 +353,7 @@ Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatch(
   }
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardBatch(record.session, query_texts);
+  ForwardBatch(record.session, query_texts, std::move(parsed));
   MaybeAutoSnapshot();
   std::vector<QueryId> ids;
   ids.reserve(record.batch.size());
@@ -432,7 +439,7 @@ std::vector<QueryId> DurableCoordinationService::ComponentOf(
 
 EngineStats DurableCoordinationService::StatsSnapshot() const {
   EngineStats stats = inner_->StatsSnapshot();
-  stats.rejected += rejected_;  // pre-validation refusals never reach inner
+  stats.rejected += rejected_;  // unparseable texts never reach inner
   return stats;
 }
 
@@ -530,7 +537,9 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                                SessionManager* sessions) {
   switch (record.kind) {
     case WalRecord::Kind::kSubmit: {
-      if (!ValidateText(record.text).ok() || record.id != next_durable_id_) {
+      QuerySet parsed;
+      if (record.id != next_durable_id_ ||
+          !ParseQuery(record.text, &parsed).ok()) {
         ++report_.anomalies;
         return;
       }
@@ -541,9 +550,9 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                  static_cast<QueryId>(record.id));
       }
       // Replay runs at the recorded cadence, so the call itself can
-      // deliver.  A validated text cannot be refused by the inner
+      // deliver.  A parsed text cannot be refused by the inner
       // service, hence a CHECK rather than an anomaly.
-      ForwardSubmit(record.session, record.text);
+      ForwardSubmit(record.session, record.text, std::move(parsed));
       // Second adoption pass marks the query session-pending now that
       // the service can answer IsPending for it.
       if (sessions != nullptr && record.session >= 0) {
@@ -555,9 +564,10 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
     case WalRecord::Kind::kSubmitBatch: {
       std::vector<std::string> texts;
       texts.reserve(record.batch.size());
+      QuerySet parsed;
       int64_t expected = next_durable_id_;
       for (const auto& [durable_id, text] : record.batch) {
-        if (!ValidateText(text).ok() || durable_id != expected) {
+        if (durable_id != expected || !ParseQuery(text, &parsed).ok()) {
           ++report_.anomalies;
           return;
         }
@@ -570,7 +580,7 @@ void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
                                    static_cast<QueryId>(durable_id));
         }
       }
-      ForwardBatch(record.session, texts);
+      ForwardBatch(record.session, texts, std::move(parsed));
       if (sessions != nullptr && record.session >= 0) {
         for (const auto& [durable_id, text] : record.batch) {
           sessions->AdoptRecovered(record.session,

@@ -97,9 +97,11 @@ Result<DurableState> ReadDurableState(const std::string& dir);
 /// \brief Write-ahead-logging decorator over any CoordinationService
 /// (single-engine or sharded).
 ///
-/// Every admitted event is logged *after* admission checks (parse
-/// validation, pending probes) but *before* it is applied to the inner
-/// service, so the log holds exactly the accepted intent stream.  The
+/// Every admitted event is logged *after* admission checks (a text
+/// must parse, a cancel's target must be pending) but *before* it is
+/// applied to the inner service, so the log holds exactly the accepted
+/// intent stream.  A submission arriving through SubmitParsed is
+/// already parsed; the decorator logs its text and hands the parse on.  The
 /// decorator owns a durable id namespace that survives restarts.  Until
 /// a Recover() the inner service allocates exactly the durable ids
 /// (admission order determines them).  A recovered process resubmits
@@ -134,9 +136,16 @@ class DurableCoordinationService : public CoordinationService {
     downstream_ = std::move(callback);
   }
   void set_evaluate_every(size_t evaluate_every) override;
+  /// The text entry points parse first and reject an unparseable text
+  /// before anything is logged.
   Result<QueryId> Submit(const std::string& query_text) override;
   Result<std::vector<QueryId>> SubmitBatch(
       const std::vector<std::string>& query_texts) override;
+  /// Log the text(s), then hand the parse to the inner service.
+  Result<QueryId> SubmitParsed(const std::string& query_text,
+                               QuerySet parsed) override;
+  Result<std::vector<QueryId>> SubmitBatchParsed(
+      const std::vector<std::string>& query_texts, QuerySet parsed) override;
   bool Cancel(QueryId id) override;
   size_t Flush() override;
   std::vector<QueryId> PendingQueries() const override;
@@ -201,10 +210,12 @@ class DurableCoordinationService : public CoordinationService {
   /// before the inner call, whose per-arrival evaluation may deliver
   /// the query at once.
   QueryId AdmitNext(int64_t session, const std::string& text);
-  /// Admits a validated text (or batch) and forwards it to the inner
-  /// service, checking the inner ids and mirroring the cadence.
-  void ForwardSubmit(int64_t session, const std::string& text);
-  void ForwardBatch(int64_t session, const std::vector<std::string>& texts);
+  /// Admits a parsed text (or batch) and forwards the parse to the
+  /// inner service, checking the inner ids and mirroring the cadence.
+  void ForwardSubmit(int64_t session, const std::string& text,
+                     QuerySet parsed);
+  void ForwardBatch(int64_t session, const std::vector<std::string>& texts,
+                    QuerySet parsed);
   /// Durable id of an inner query.
   QueryId DurableId(QueryId inner) const;
   /// Inner id of durable query `id`, or -1 when this process never
@@ -255,7 +266,7 @@ class DurableCoordinationService : public CoordinationService {
   size_t cadence_phase_ = 0;
 
   int64_t session_tag_ = -1;  ///< set by SessionManager around calls
-  uint64_t rejected_ = 0;     ///< pre-validation rejections (never logged)
+  uint64_t rejected_ = 0;     ///< unparseable texts (never logged)
   RecoveryReport report_;
 };
 

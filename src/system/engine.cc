@@ -61,39 +61,57 @@ void CoordinationEngine::CheckNotReentrant(const char* entry_point) const {
 }
 
 Result<QueryId> CoordinationEngine::Submit(const std::string& query_text) {
-  if (intake_ != nullptr) return SubmitDeferred(query_text);
-  CheckNotReentrant("Submit");
-  auto id = ParseQuery(query_text, &all_);
-  if (!id.ok()) {
+  QuerySet parsed;
+  if (auto id = ParseQuery(query_text, &parsed); !id.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return id.status();
   }
-  // The parser already appended the query; run the shared admission
-  // path without re-adding.
-  Admit(*id);
-  return id;
+  return SubmitParsed(query_text, std::move(parsed));
 }
 
 Result<std::vector<QueryId>> CoordinationEngine::SubmitBatch(
     const std::vector<std::string>& query_texts) {
-  if (intake_ != nullptr && !query_texts.empty()) {
-    return SubmitBatchDeferred(query_texts);
-  }
-  CheckNotReentrant("SubmitBatch");
-  DrainIntake();  // empty deferred batch: flush below covers the queue
   // Admission is all-or-nothing: parse the whole batch into a staging
   // set first, so a mid-batch syntax error leaves no orphaned half-batch
-  // pending with ids the caller never received.  Adopting it whole
-  // allocates the ids and variables a direct parse would.
-  QuerySet staging;
+  // pending with ids the caller never received.
+  QuerySet parsed;
   for (const std::string& text : query_texts) {
-    auto id = ParseQuery(text, &staging);
-    if (!id.ok()) {
+    if (auto id = ParseQuery(text, &parsed); !id.ok()) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return id.status();
     }
   }
-  std::vector<QueryId> ids = all_.AdoptAll(staging);
+  return SubmitBatchParsed(query_texts, std::move(parsed));
+}
+
+Result<QueryId> CoordinationEngine::SubmitParsed(
+    const std::string& query_text, QuerySet parsed) {
+  (void)query_text;
+  ENTANGLED_CHECK_EQ(parsed.size(), size_t{1})
+      << "SubmitParsed takes the parse of exactly one text";
+  if (intake_ != nullptr) return SubmitDeferred(std::move(parsed));
+  CheckNotReentrant("Submit");
+  // Moving the query allocates the ids and variables a direct parse
+  // into all_ would.
+  const QueryId id = all_.MoveQuery(&parsed, 0);
+  Admit(id);
+  return id;
+}
+
+Result<std::vector<QueryId>> CoordinationEngine::SubmitBatchParsed(
+    const std::vector<std::string>& query_texts, QuerySet parsed) {
+  ENTANGLED_CHECK_EQ(parsed.size(), query_texts.size())
+      << "SubmitBatchParsed takes one parsed query per text";
+  if (intake_ != nullptr && !parsed.empty()) {
+    return SubmitBatchDeferred(std::move(parsed));
+  }
+  CheckNotReentrant("SubmitBatch");
+  DrainIntake();  // empty deferred batch: flush below covers the queue
+  std::vector<QueryId> ids;
+  ids.reserve(parsed.size());
+  for (QueryId q = 0; q < static_cast<QueryId>(parsed.size()); ++q) {
+    ids.push_back(all_.MoveQuery(&parsed, q));
+  }
   // Suspend per-arrival evaluation while the batch is admitted: the
   // whole batch lands in the graph first, then one Flush() examines the
   // (merged) dirty components once instead of once per arrival.
@@ -112,42 +130,30 @@ Result<std::vector<QueryId>> CoordinationEngine::SubmitBatch(
 // Deferred admission (EngineOptions::intake_capacity > 0)
 // ---------------------------------------------------------------------------
 
-Result<QueryId> CoordinationEngine::SubmitDeferred(
-    const std::string& query_text) {
+Result<QueryId> CoordinationEngine::SubmitDeferred(QuerySet parsed) {
   // in_callback_ is owner-thread state; producers on other threads
   // cannot read it (and cannot be inside a callback anyway).
   if (std::this_thread::get_id() == owner_thread_) CheckNotReentrant("Submit");
   IntakeEvent event;
-  auto id = ParseQuery(query_text, &event.staging);
-  if (!id.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return id.status();
-  }
+  event.staging = std::move(parsed);
   const uint64_t ticket = PushIntake(std::move(event));
   return static_cast<QueryId>(intake_base_.load(std::memory_order_relaxed) +
                               static_cast<int64_t>(ticket));
 }
 
 Result<std::vector<QueryId>> CoordinationEngine::SubmitBatchDeferred(
-    const std::vector<std::string>& query_texts) {
+    QuerySet parsed) {
   if (std::this_thread::get_id() == owner_thread_) {
     CheckNotReentrant("SubmitBatch");
   }
-  // All-or-nothing: validate every text before enqueuing anything, so
-  // a mid-batch syntax error admits nothing.
-  std::vector<IntakeEvent> events;
-  events.reserve(query_texts.size());
-  for (const std::string& text : query_texts) {
-    IntakeEvent event;
-    auto id = ParseQuery(text, &event.staging);
-    if (!id.ok()) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return id.status();
-    }
+  // The batch was parsed whole before anything is enqueued, so admission
+  // stays all-or-nothing.  Each member moves into its own event.
+  std::vector<IntakeEvent> events(parsed.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].staging.MoveQuery(&parsed, static_cast<QueryId>(i));
     // Batch members do not tick the cadence; the tail flushes once —
     // the same suspend-then-flush the inline path performs.
-    event.cadence = false;
-    events.push_back(std::move(event));
+    events[i].cadence = false;
   }
   events.back().batch_tail = true;
   std::vector<QueryId> ids;
@@ -182,12 +188,11 @@ void CoordinationEngine::DrainIntake() {
     const QueryId predicted = static_cast<QueryId>(
         intake_base_.load(std::memory_order_relaxed) +
         static_cast<int64_t>(intake_drained_++));
-    // Replay the inline admission path: adopt the staged query (same
+    // Replay the inline admission path: move the staged query in (same
     // query/variable ids a direct parse would have produced), index it,
     // and apply the cadence the event carried.
-    std::vector<QueryId> adopted = all_.AdoptQueries(event.staging, {0});
-    ENTANGLED_CHECK_EQ(adopted.size(), size_t{1});
-    ENTANGLED_CHECK_EQ(adopted.front(), predicted)
+    const QueryId adopted = all_.MoveQuery(&event.staging, 0);
+    ENTANGLED_CHECK_EQ(adopted, predicted)
         << "intake drain order diverged from ticket order";
     ++stats_.submitted;
     IndexQuery(predicted);
@@ -853,12 +858,14 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
 }
 
 std::vector<QueryId> CoordinationEngine::AdoptPending(
-    const QuerySet& src, const std::vector<QueryId>& ids,
+    QuerySet* src, const std::vector<QueryId>& ids,
     const std::vector<QueryId>& keys) {
   CheckNotReentrant("AdoptPending");
   ENTANGLED_CHECK_EQ(keys.size(), ids.size());
   DrainIntake();
-  std::vector<QueryId> adopted = all_.AdoptQueries(src, ids);
+  std::vector<QueryId> adopted;
+  adopted.reserve(ids.size());
+  for (QueryId id : ids) adopted.push_back(all_.MoveQuery(src, id));
   ResyncIntakeBase();  // adoption grew all_ outside the ticket flow
   // Keys must land before IndexQuery: component bookkeeping (comp_min_,
   // persistent-subset extension guards) is key-ordered from the start.

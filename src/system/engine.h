@@ -111,8 +111,9 @@ struct EngineOptions {
 
   /// Capacity of the deferred-admission intake queue.  0 (the default)
   /// admits inline, exactly as before.  > 0 arms a bounded MPSC queue
-  /// in front of the engine: Submit/SubmitBatch parse + validate on the
-  /// calling thread, enqueue the admitted event, and return its
+  /// in front of the engine: Submit/SubmitBatch parse on the calling
+  /// thread (the parsed forms take the caller's parse), enqueue the
+  /// admitted event, and return its
   /// predicted id without ever blocking on an in-progress Flush();
   /// the owning thread drains the queue in arrival order at the next
   /// flush/read boundary, reproducing the inline engine's admission
@@ -161,6 +162,27 @@ class CoordinationService {
   virtual Result<QueryId> Submit(const std::string& query_text) = 0;
   virtual Result<std::vector<QueryId>> SubmitBatch(
       const std::vector<std::string>& query_texts) = 0;
+
+  /// Parsed admission, so a layered stack parses each text once, at its
+  /// front door (api/session.h), and hands the parse down: `parsed`
+  /// holds exactly one query, the parse of `query_text`
+  /// (core/parser.h).  The text travels along for layers that keep it
+  /// (the durable decorator logs it).  The defaults forward the text to
+  /// Submit/SubmitBatch and drop the parse, so a pass-through decorator
+  /// that overrides only the text entry points stays correct.
+  virtual Result<QueryId> SubmitParsed(const std::string& query_text,
+                                       QuerySet parsed) {
+    (void)parsed;
+    return Submit(query_text);
+  }
+  /// Batch form of SubmitParsed: query i of `parsed` is the parse of
+  /// text i.
+  virtual Result<std::vector<QueryId>> SubmitBatchParsed(
+      const std::vector<std::string>& query_texts, QuerySet parsed) {
+    (void)parsed;
+    return SubmitBatch(query_texts);
+  }
+
   virtual bool Cancel(QueryId id) = 0;
   virtual size_t Flush() = 0;
 
@@ -173,9 +195,9 @@ class CoordinationService {
   /// client's to ask about, so none of them aborts.
   virtual std::vector<QueryId> ComponentOf(QueryId id) const = 0;
 
-  /// True when Submit/SubmitBatch defer admission to an intake queue
-  /// drained at the service's flush/read boundaries instead of
-  /// admitting inline (EngineOptions::intake_capacity).  Front doors
+  /// True when submissions (text or parsed) defer admission to an
+  /// intake queue drained at the service's flush/read boundaries instead
+  /// of admitting inline (EngineOptions::intake_capacity).  Front doors
   /// that interleave bookkeeping with submission (api/session.h) use
   /// this to avoid read calls that would force a premature drain.
   virtual bool AdmitsDeferred() const { return false; }
@@ -279,7 +301,8 @@ class CoordinationEngine : public CoordinationService {
     options_.evaluate_every = evaluate_every;
   }
 
-  /// Submits one query in the paper's concrete syntax (core/parser.h).
+  /// Submits one query in the paper's concrete syntax (core/parser.h):
+  /// parses it, then admits it as SubmitParsed does.
   Result<QueryId> Submit(const std::string& query_text) override;
 
   /// Admits a whole batch of queries before any evaluation runs, then —
@@ -288,6 +311,13 @@ class CoordinationEngine : public CoordinationService {
   /// is all-or-nothing: on error nothing from the batch was admitted.
   Result<std::vector<QueryId>> SubmitBatch(
       const std::vector<std::string>& query_texts) override;
+
+  /// Admits the parsed query, moving it into the engine's set (inline,
+  /// or through the intake when one is armed).
+  Result<QueryId> SubmitParsed(const std::string& query_text,
+                               QuerySet parsed) override;
+  Result<std::vector<QueryId>> SubmitBatchParsed(
+      const std::vector<std::string>& query_texts, QuerySet parsed) override;
 
   /// Withdraws a pending query (a user abandoning a request).  Returns
   /// false when the id is unknown or no longer pending.  The rest of its
@@ -330,10 +360,11 @@ class CoordinationEngine : public CoordinationService {
   /// their aggregate first.
   PendingExtract ExtractPending();
 
-  /// Admits copies of `src`'s queries `ids` — a freshly parsed staging
-  /// set or another engine's PendingExtract — renumbered into this
-  /// engine's query and variable namespaces (QuerySet::AdoptQueries),
-  /// each under the schedule key at the same position of `keys`.
+  /// Admits `src`'s queries `ids` — from a freshly parsed staging set or
+  /// another engine's PendingExtract — moved into this engine's query
+  /// and variable namespaces (QuerySet::MoveQuery, which leaves them
+  /// empty in `*src`), each under the schedule key at the same position
+  /// of `keys`.
   /// Adopted queries are indexed into the incremental structures and
   /// their components marked dirty, but adoption never triggers
   /// evaluation and never counts as a submission: the caller owns the
@@ -348,7 +379,7 @@ class CoordinationEngine : public CoordinationService {
   /// is what lets a merge append queries to a survivor engine out of
   /// local-id order and still reproduce the single-engine behaviour
   /// byte for byte.
-  std::vector<QueryId> AdoptPending(const QuerySet& src,
+  std::vector<QueryId> AdoptPending(QuerySet* src,
                                     const std::vector<QueryId>& ids,
                                     const std::vector<QueryId>& keys);
 
@@ -585,22 +616,21 @@ class CoordinationEngine : public CoordinationService {
 
   // ---- deferred admission (intake_ != nullptr) -----------------------
   //
-  // Producers (any thread): parse into a private staging QuerySet,
-  // claim a queue ticket with one atomic op, and derive the adopted id
+  // Producers (any thread): move their parse into a private staging
+  // QuerySet per query, claim a queue ticket with one atomic op, and derive the adopted id
   // from it (id = intake_base_ + ticket) — the ticket fixes both the
   // FIFO position and the id, so concurrent producers can never hand
   // out ids out of arrival order.  The owner thread drains at every
   // flush/read boundary and replays the inline admission path
-  // (AdoptQueries + IndexQuery + cadence), so the delivery log is
+  // (MoveQuery + IndexQuery + cadence), so the delivery log is
   // byte-identical to an inline engine fed the same arrival order.
   //
-  // Owner-only surface: everything except Submit / non-empty
-  // SubmitBatch must be called on the thread that constructed the
-  // engine while producers are in flight.
+  // Owner-only surface: everything except Submit / SubmitParsed and
+  // their non-empty batch forms must be called on the thread that
+  // constructed the engine while producers are in flight.
 
-  Result<QueryId> SubmitDeferred(const std::string& query_text);
-  Result<std::vector<QueryId>> SubmitBatchDeferred(
-      const std::vector<std::string>& query_texts);
+  Result<QueryId> SubmitDeferred(QuerySet parsed);
+  Result<std::vector<QueryId>> SubmitBatchDeferred(QuerySet parsed);
   /// Enqueues; on a full ring the owner drains inline (it is the
   /// consumer — blocking would deadlock), other producers spin-wait.
   uint64_t PushIntake(IntakeEvent event);
@@ -628,7 +658,8 @@ class CoordinationEngine : public CoordinationService {
   InternalSolutionCallback internal_callback_;
   bool in_callback_ = false;
   EngineStats stats_;
-  /// Refused submissions (parse failures).  Atomic — and outside
+  /// Refused submissions (parse failures of the text entry points).
+  /// Atomic — and outside
   /// stats_ — because deferred producers reject on their own threads;
   /// StatsSnapshot() folds it into EngineStats::rejected.
   std::atomic<uint64_t> rejected_{0};

@@ -42,15 +42,36 @@ void ShardedCoordinationEngine::CheckNotReentrant(
 
 Result<QueryId> ShardedCoordinationEngine::Submit(
     const std::string& query_text) {
-  CheckNotReentrant("Submit");
-  QuerySet staging;
-  auto parsed = ParseQuery(query_text, &staging);
-  if (!parsed.ok()) {
+  QuerySet parsed;
+  if (auto id = ParseQuery(query_text, &parsed); !id.ok()) {
     ++front_stats_.rejected;
-    return parsed.status();
+    return id.status();
   }
+  return SubmitParsed(query_text, std::move(parsed));
+}
+
+Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
+    const std::vector<std::string>& query_texts) {
+  // All-or-nothing admission, exactly like CoordinationEngine: parse the
+  // whole batch into one staging set before admitting anything.
+  QuerySet parsed;
+  for (const std::string& text : query_texts) {
+    if (auto id = ParseQuery(text, &parsed); !id.ok()) {
+      ++front_stats_.rejected;
+      return id.status();
+    }
+  }
+  return SubmitBatchParsed(query_texts, std::move(parsed));
+}
+
+Result<QueryId> ShardedCoordinationEngine::SubmitParsed(
+    const std::string& query_text, QuerySet parsed) {
+  (void)query_text;
+  ENTANGLED_CHECK_EQ(parsed.size(), size_t{1})
+      << "SubmitParsed takes the parse of exactly one text";
+  CheckNotReentrant("Submit");
   const QueryId id = next_id_++;
-  const Locator loc = RouteAndAdmit(staging, *parsed, id);
+  const Locator loc = RouteAndAdmit(&parsed, 0, id);
   ++front_stats_.submitted;
 
   if (options_.engine.evaluate_every > 0 &&
@@ -65,24 +86,16 @@ Result<QueryId> ShardedCoordinationEngine::Submit(
   return id;
 }
 
-Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
-    const std::vector<std::string>& query_texts) {
+Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatchParsed(
+    const std::vector<std::string>& query_texts, QuerySet parsed) {
+  ENTANGLED_CHECK_EQ(parsed.size(), query_texts.size())
+      << "SubmitBatchParsed takes one parsed query per text";
   CheckNotReentrant("SubmitBatch");
-  // All-or-nothing admission, exactly like CoordinationEngine: parse the
-  // whole batch into one staging set before admitting anything.
-  QuerySet staging;
-  for (const std::string& text : query_texts) {
-    auto parsed = ParseQuery(text, &staging);
-    if (!parsed.ok()) {
-      ++front_stats_.rejected;
-      return parsed.status();
-    }
-  }
   std::vector<QueryId> ids;
-  ids.reserve(staging.size());
-  for (QueryId sid = 0; sid < static_cast<QueryId>(staging.size()); ++sid) {
+  ids.reserve(parsed.size());
+  for (QueryId sid = 0; sid < static_cast<QueryId>(parsed.size()); ++sid) {
     ids.push_back(next_id_++);
-    RouteAndAdmit(staging, sid, ids.back());
+    RouteAndAdmit(&parsed, sid, ids.back());
     ++front_stats_.submitted;
   }
   // The whole batch landed before any evaluation; now flush once, as a
@@ -95,8 +108,8 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatch(
 }
 
 ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
-    const QuerySet& staging, QueryId sid, QueryId gid) {
-  std::vector<RelationId> footprint = router_.Footprint(staging, sid);
+    QuerySet* staging, QueryId sid, QueryId gid) {
+  std::vector<RelationId> footprint = router_.Footprint(*staging, sid);
   if (footprint.empty()) {
     // No postconditions and no head atoms (unreachable through the
     // parser, which requires a head): the query can never gain a
@@ -207,9 +220,9 @@ size_t ShardedCoordinationEngine::MergeShards(
   for (size_t s : slots) {
     if (s == survivor) continue;
     ENTANGLED_CHECK(shards_[s].deliveries.empty());
-    const CoordinationEngine::PendingExtract extract =
+    CoordinationEngine::PendingExtract extract =
         shards_[s].engine->ExtractPending();
-    moved += AdoptExtractIntoShard(survivor, extract);
+    moved += AdoptExtractIntoShard(survivor, &extract);
     RetireShard(s, /*absorbed=*/true);
     flush_candidates_.erase(s);
   }
@@ -221,15 +234,15 @@ size_t ShardedCoordinationEngine::MergeShards(
 }
 
 uint64_t ShardedCoordinationEngine::AdoptExtractIntoShard(
-    size_t into_slot, const CoordinationEngine::PendingExtract& extract) {
-  std::vector<QueryId> dense(extract.queries.size());
+    size_t into_slot, CoordinationEngine::PendingExtract* extract) {
+  std::vector<QueryId> dense(extract->queries.size());
   std::iota(dense.begin(), dense.end(), QueryId{0});
   const std::vector<QueryId> locals =
-      shards_[into_slot].engine->AdoptPending(extract.queries, dense,
-                                              extract.keys);
+      shards_[into_slot].engine->AdoptPending(&extract->queries, dense,
+                                              extract->keys);
   for (size_t j = 0; j < locals.size(); ++j) {
     // The extract's keys are this front door's global ids.
-    pending_.at(extract.keys[j]) = Locator{into_slot, locals[j]};
+    pending_.at(extract->keys[j]) = Locator{into_slot, locals[j]};
   }
   return static_cast<uint64_t>(locals.size());
 }

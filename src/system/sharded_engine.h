@@ -78,10 +78,10 @@ struct ShardedStats {
 /// (CoordinationEngine::last_delivery_schedule_key), i.e.
 /// merge-by-smallest-global-id.
 ///
-/// Each query is stored once, in the shard that owns it: Submit parses
-/// a text into a staging set, routes it by that set's footprint, and
-/// adopts it into the shard under the next global id (its schedule
-/// key).  The front door keeps only a locator per *pending* query.
+/// Each query is stored once, in the shard that owns it: SubmitParsed
+/// routes the caller's parse by its footprint and moves it into the
+/// shard under the next global id (its schedule key); Submit parses the
+/// text first.  The front door keeps only a locator per *pending* query.
 /// Deliveries are materialized from the shard's own query set on
 /// whichever thread flushes the shard and rewritten to global ids
 /// (TranslateDelivery, api/delivery.h); each participant's witness is
@@ -110,9 +110,14 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// to drain here — admission is always inline at the front door).
   void RestoreCadencePhase(size_t phase) override { since_last_eval_ = phase; }
 
+  /// The text entry points parse, then admit as the parsed ones do.
   Result<QueryId> Submit(const std::string& query_text) override;
   Result<std::vector<QueryId>> SubmitBatch(
       const std::vector<std::string>& query_texts) override;
+  Result<QueryId> SubmitParsed(const std::string& query_text,
+                               QuerySet parsed) override;
+  Result<std::vector<QueryId>> SubmitBatchParsed(
+      const std::vector<std::string>& query_texts, QuerySet parsed) override;
   bool Cancel(QueryId id) override;
   size_t Flush() override;
 
@@ -173,12 +178,12 @@ class ShardedCoordinationEngine : public CoordinationService {
 
   void CheckNotReentrant(const char* entry_point) const;
 
-  /// Routes query `sid` of a freshly parsed `staging` set as global
+  /// Routes query `sid` of a freshly parsed `*staging` set as global
   /// query `gid`: computes its footprint, unites the touched relation
-  /// groups (merging shards when the footprint bridges several), adopts
+  /// groups (merging shards when the footprint bridges several), moves
   /// the query into the owning shard keyed by `gid`, and marks it
   /// pending.  No evaluation.  Returns where the query landed.
-  Locator RouteAndAdmit(const QuerySet& staging, QueryId sid, QueryId gid);
+  Locator RouteAndAdmit(QuerySet* staging, QueryId sid, QueryId gid);
 
   /// Fresh inner engine wired to this front door; returns its slot.
   size_t CreateShard();
@@ -191,11 +196,11 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// surviving slot.
   size_t MergeShards(const std::vector<size_t>& slots);
 
-  /// Adopts one source extract into `into_slot`'s engine (single bulk
+  /// Moves one source extract into `into_slot`'s engine (single bulk
   /// AdoptPending, keyed by the extract's global ids) and rewires the
   /// locators.  Returns the number of queries moved.
   uint64_t AdoptExtractIntoShard(
-      size_t into_slot, const CoordinationEngine::PendingExtract& extract);
+      size_t into_slot, CoordinationEngine::PendingExtract* extract);
 
   /// Folds the shard's stats into the retired accumulator and destroys
   /// its engine.

@@ -56,7 +56,10 @@ Result<std::vector<QueryId>> ReferenceCoordinator::SubmitBatch(
       return id.status();
     }
   }
-  std::vector<QueryId> ids = all_.AdoptAll(staging);
+  std::vector<QueryId> ids;
+  for (QueryId q = 0; q < static_cast<QueryId>(staging.size()); ++q) {
+    ids.push_back(all_.MoveQuery(&staging, q));
+  }
   for (QueryId id : ids) Admit(id);
   // Batch members do not tick the per-arrival cadence; one flush
   // evaluates the whole batch instead.

@@ -139,6 +139,41 @@ TEST_F(EvaluatorTest, ValidateCatchesUnknownRelationAndArity) {
                   .IsInvalidArgument());
 }
 
+// The bodies a client can submit without a schema check in front of
+// the engine: `q: {} A(x) :- Nope(x).` (no relation Nope) and
+// `q: {} A(x) :- F(x).` (F is binary).  Each atom matches no row, next
+// to a satisfiable atom or alone, however the body is evaluated.
+TEST_F(EvaluatorTest, UnknownRelationMatchesNoRow) {
+  Evaluator evaluator(&db_);
+  const Atom nope("Nope", {Term::Var(0)});
+  const Atom flight("F", {Term::Var(0), Term::Var(1)});
+  for (const std::vector<Atom>& body :
+       {std::vector<Atom>{nope}, std::vector<Atom>{flight, nope},
+        std::vector<Atom>{nope, flight}}) {
+    EXPECT_FALSE(evaluator.FindOne(body).has_value());
+    EXPECT_TRUE(evaluator.EnumerateDistinct(body, {0}).empty());
+    EXPECT_EQ(evaluator.CountSolutions(body), 0u);
+  }
+}
+
+TEST_F(EvaluatorTest, ArityMismatchMatchesNoRow) {
+  Evaluator evaluator(&db_);
+  const Atom narrow("F", {Term::Var(0)});
+  const Atom wide("F", {Term::Var(0), Term::Var(1), Term::Var(2)});
+  const Atom hotel("H", {Term::Var(0), Term::Var(1)});
+  for (const std::vector<Atom>& body :
+       {std::vector<Atom>{narrow}, std::vector<Atom>{wide},
+        std::vector<Atom>{hotel, narrow}}) {
+    EXPECT_FALSE(evaluator.FindOne(body).has_value());
+    EXPECT_TRUE(evaluator.EnumerateDistinct(body, {0}).empty());
+    EXPECT_EQ(evaluator.CountSolutions(body), 0u);
+  }
+  // A bound position must not probe a column the relation lacks.
+  Binding bound;
+  bound.emplace(2, Value::Str("Paris"));
+  EXPECT_FALSE(evaluator.FindOne({wide}, bound).has_value());
+}
+
 TEST_F(EvaluatorTest, StatsCountQueries) {
   db_.stats().Reset();
   Evaluator evaluator(&db_);

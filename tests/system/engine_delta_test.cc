@@ -146,7 +146,7 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
   CoordinationEngine target(&db_, FlushOnly());
   std::vector<LoggedDelivery> log;
   LogDeliveries(&target, &log);
-  target.AdoptPending(extract.queries, {0}, extract.keys);
+  target.AdoptPending(&extract.queries, {0}, extract.keys);
   ASSERT_TRUE(
       target.Submit("b: { U(A, y) } U(B, y) :- Users(y, 'user1').").ok());
   EXPECT_EQ(target.Flush(), 1u);

@@ -19,6 +19,7 @@
 
 #include "api/delivery.h"
 #include "common/rng.h"
+#include "core/parser.h"
 #include "system/engine.h"
 #include "workload/social_data.h"
 
@@ -282,6 +283,103 @@ TEST_F(EngineIntakeTest, TwoProducersGetDisjointTicketedIds) {
     EXPECT_EQ(all[i], static_cast<QueryId>(i));
   }
   EXPECT_EQ(engine.num_pending(), static_cast<size_t>(2 * kPerProducer));
+}
+
+// Four producers hand the intake their own parses (SubmitParsed and
+// SubmitBatchParsed) while the owner drains.  The ids fix the arrival
+// order; admitting the same texts inline in that order must give the
+// same query set byte for byte, the same deliveries and the same
+// pending set.  No text is parsed twice: the engine moves each parse.
+TEST_F(EngineIntakeTest, ParsedProducersMatchInlineAdmission) {
+  constexpr size_t kProducers = 4;
+  std::vector<std::string> texts;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (std::string& text : MakePool(seed * 31)) {
+      texts.push_back(std::move(text));
+    }
+  }
+  EngineOptions options;
+  options.evaluate_every = 0;  // the drain admits; one Flush evaluates
+  options.intake_capacity = 16;
+  CoordinationEngine engine(&db_, options);
+  std::vector<LoggedDelivery> log;
+  engine.set_delivery_callback([&](const Delivery& delivery) {
+    log.push_back(LoggedDelivery::Of(delivery));
+  });
+
+  // Producer p owns texts p, p + 4, ...; odd producers submit them in
+  // batches of up to three.
+  std::vector<std::vector<std::pair<QueryId, size_t>>> admitted(kProducers);
+  std::atomic<size_t> running{kProducers};
+  const uint64_t parses_before = ParseCount();
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<size_t> mine;
+      for (size_t i = p; i < texts.size(); i += kProducers) mine.push_back(i);
+      for (size_t k = 0; k < mine.size();) {
+        const size_t n = p % 2 == 0 ? 1 : std::min<size_t>(3, mine.size() - k);
+        std::vector<std::string> batch;
+        QuerySet parsed;
+        for (size_t j = k; j < k + n; ++j) {
+          batch.push_back(texts[mine[j]]);
+          EXPECT_TRUE(ParseQuery(batch.back(), &parsed).ok());
+        }
+        if (n == 1) {
+          auto id = engine.SubmitParsed(batch.front(), std::move(parsed));
+          EXPECT_TRUE(id.ok()) << id.status();
+          if (id.ok()) admitted[p].emplace_back(*id, mine[k]);
+        } else {
+          auto ids = engine.SubmitBatchParsed(batch, std::move(parsed));
+          EXPECT_TRUE(ids.ok()) << ids.status();
+          if (!ids.ok()) break;
+          for (size_t j = 0; j < n; ++j) {
+            admitted[p].emplace_back((*ids)[j], mine[k + j]);
+          }
+        }
+        k += n;
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  while (running.load(std::memory_order_acquire) != 0) {
+    engine.num_pending();
+    std::this_thread::yield();
+  }
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(ParseCount() - parses_before, texts.size());
+  engine.Flush();
+
+  // Arrival order by id; ids are exactly [0, n).
+  std::vector<size_t> arrival(texts.size(), texts.size());
+  for (const auto& own : admitted) {
+    for (const auto& [id, text] : own) {
+      ASSERT_GE(id, 0);
+      ASSERT_LT(static_cast<size_t>(id), texts.size());
+      arrival[static_cast<size_t>(id)] = text;
+    }
+  }
+  EngineOptions inline_options;
+  inline_options.evaluate_every = 0;
+  CoordinationEngine inline_engine(&db_, inline_options);
+  std::vector<LoggedDelivery> expected;
+  inline_engine.set_delivery_callback([&](const Delivery& delivery) {
+    expected.push_back(LoggedDelivery::Of(delivery));
+  });
+  for (size_t i = 0; i < arrival.size(); ++i) {
+    ASSERT_LT(arrival[i], texts.size()) << "no query admitted as id " << i;
+    auto id = inline_engine.Submit(texts[arrival[i]]);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, static_cast<QueryId>(i));
+  }
+  inline_engine.Flush();
+
+  EXPECT_EQ(engine.queries().ToString(), inline_engine.queries().ToString());
+  EXPECT_EQ(engine.queries().num_vars(), inline_engine.queries().num_vars());
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.PendingQueries(), inline_engine.PendingQueries());
+  EXPECT_EQ(engine.stats().submitted, texts.size());
 }
 
 }  // namespace

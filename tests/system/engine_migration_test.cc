@@ -95,7 +95,7 @@ TEST_F(EngineMigrationTest, ExtractAdoptRoundTripPreservesCoordination) {
 
   CoordinationEngine target(&db_, options);
   std::vector<QueryId> adopted =
-      target.AdoptPending(extract.queries, {0, 1, 2}, extract.keys);
+      target.AdoptPending(&extract.queries, {0, 1, 2}, extract.keys);
   EXPECT_EQ(adopted, (std::vector<QueryId>{0, 1, 2}));
   EXPECT_EQ(target.num_pending(), 3u);
   // Adoption is not a submission...
