@@ -617,13 +617,14 @@ class CoordinationEngine : public CoordinationService {
   // ---- deferred admission (intake_ != nullptr) -----------------------
   //
   // Producers (any thread): move their parse into a private staging
-  // QuerySet per query, claim a queue ticket with one atomic op, and derive the adopted id
-  // from it (id = intake_base_ + ticket) — the ticket fixes both the
-  // FIFO position and the id, so concurrent producers can never hand
-  // out ids out of arrival order.  The owner thread drains at every
-  // flush/read boundary and replays the inline admission path
-  // (MoveQuery + IndexQuery + cadence), so the delivery log is
-  // byte-identical to an inline engine fed the same arrival order.
+  // QuerySet per query, claim a queue ticket with one atomic op, and
+  // derive the adopted id from it (id = intake_base_ + ticket) — the
+  // ticket fixes both the FIFO position and the id, so concurrent
+  // producers can never hand out ids out of arrival order.  The owner
+  // thread drains at every flush/read boundary and replays the inline
+  // admission path (MoveQuery + IndexQuery + cadence), so the delivery
+  // log is byte-identical to an inline engine fed the same arrival
+  // order.
   //
   // Owner-only surface: everything except Submit / SubmitParsed and
   // their non-empty batch forms must be called on the thread that
@@ -659,9 +660,9 @@ class CoordinationEngine : public CoordinationService {
   bool in_callback_ = false;
   EngineStats stats_;
   /// Refused submissions (parse failures of the text entry points).
-  /// Atomic — and outside
-  /// stats_ — because deferred producers reject on their own threads;
-  /// StatsSnapshot() folds it into EngineStats::rejected.
+  /// Atomic — and outside stats_ — because deferred producers reject on
+  /// their own threads; StatsSnapshot() folds it into
+  /// EngineStats::rejected.
   std::atomic<uint64_t> rejected_{0};
   QueryId last_delivery_key_ = -1;
   uint64_t next_delivery_sequence_ = 0;
