@@ -88,11 +88,4 @@ Delivery MakeDelivery(const QuerySet& set,
   return delivery;
 }
 
-void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
-                       Delivery* delivery) {
-  for (DeliveredQuery& q : delivery->queries) q.id = query_of(q.id);
-  std::sort(delivery->queries.begin(), delivery->queries.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-}
-
 }  // namespace entangled

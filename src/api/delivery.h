@@ -2,7 +2,6 @@
 #define ENTANGLED_API_DELIVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,7 +49,9 @@ struct Delivery {
   /// Zero-based position of this delivery in the service's delivery
   /// stream.  Deterministic: the oracle, the incremental engine at any
   /// flush_threads, and the sharded engine at any shard_threads assign
-  /// the same sequence to the same coordinating set.
+  /// the same sequence to the same coordinating set.  A recovered
+  /// service resumes the stream where its log left it
+  /// (CoordinationService::ResumeNumbering) instead of restarting at 0.
   uint64_t sequence = 0;
 
   /// The coordinating set, ascending by id.
@@ -76,14 +77,6 @@ struct Delivery {
 Delivery MakeDelivery(const QuerySet& set,
                       const CoordinationSolution& solution,
                       uint64_t sequence);
-
-/// \brief Rewrites a Delivery's participant ids into another id
-/// namespace — a shard's local ids into the front door's global ones,
-/// or a recovered engine's into the durable ones.  The map need not be
-/// monotone, so participants are re-sorted to keep the ascending order
-/// a Delivery promises.
-void TranslateDelivery(const std::function<QueryId(QueryId)>& query_of,
-                       Delivery* delivery);
 
 /// \brief MakeDelivery's inverse view: the (ids + witness) form of a
 /// delivery in `master`'s variable namespace — what Definition-1

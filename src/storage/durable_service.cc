@@ -27,6 +27,14 @@ bool SameFacts(const Relation& live, const SnapshotRelation& loaded) {
   return true;
 }
 
+/// Moves a logged batch's texts out of `record`, in batch order.
+std::vector<std::string> TakeBatchTexts(WalRecord* record) {
+  std::vector<std::string> texts;
+  texts.reserve(record->batch.size());
+  for (auto& [id, text] : record->batch) texts.push_back(std::move(text));
+  return texts;
+}
+
 }  // namespace
 
 std::string RecoveryReport::ToString() const {
@@ -177,64 +185,51 @@ Status DurableCoordinationService::LogRecord(const WalRecord& record) {
   return Status::OK();
 }
 
-QueryId DurableCoordinationService::AdmitNext(int64_t session,
-                                              const std::string& text) {
-  const int64_t durable_id = next_durable_id_++;
-  live_[durable_id] = LiveQuery{session, text};
-  return static_cast<QueryId>(durable_id - id_offset_);
-}
-
 void DurableCoordinationService::ForwardSubmit(int64_t session,
-                                               const std::string& text,
+                                               std::string* text,
                                                QuerySet parsed) {
-  // Both namespaces allocate in admission order, so the inner id is
-  // known ahead of time — and checked after.
-  const QueryId expected = AdmitNext(session, text);
-  auto inner_id = inner_->SubmitParsed(text, std::move(parsed));
+  const int64_t id = next_durable_id_++;
+  live_.emplace_hint(live_.end(), id, LiveQuery{session, {}});
+  // The inner service numbers in admission order too, so it issues the
+  // durable id itself — checked here.
+  auto inner_id = inner_->SubmitParsed(*text, std::move(parsed));
   ENTANGLED_CHECK(inner_id.ok())
       << "parsed submit rejected by the inner service: "
       << inner_id.status().ToString();
-  ENTANGLED_CHECK_EQ(*inner_id, expected)
+  ENTANGLED_CHECK_EQ(*inner_id, id)
       << "inner service id allocation diverged from admission order";
+  KeepLiveTexts(id, text);
   TickSubmitPhase();
 }
 
-void DurableCoordinationService::ForwardBatch(
-    int64_t session, const std::vector<std::string>& texts, QuerySet parsed) {
-  std::vector<QueryId> expected;
-  expected.reserve(texts.size());
-  for (const std::string& text : texts) {
-    expected.push_back(AdmitNext(session, text));
+std::vector<QueryId> DurableCoordinationService::ForwardBatch(
+    int64_t session, std::vector<std::string>* texts, QuerySet parsed) {
+  const int64_t first = next_durable_id_;
+  for (size_t i = 0; i < texts->size(); ++i) {
+    live_.emplace_hint(live_.end(), next_durable_id_++, LiveQuery{session, {}});
   }
-  auto inner_ids = inner_->SubmitBatchParsed(texts, std::move(parsed));
+  auto inner_ids = inner_->SubmitBatchParsed(*texts, std::move(parsed));
   ENTANGLED_CHECK(inner_ids.ok())
       << "parsed batch rejected by the inner service: "
       << inner_ids.status().ToString();
-  ENTANGLED_CHECK(*inner_ids == expected)
-      << "inner service id allocation diverged from admission order";
+  ENTANGLED_CHECK_EQ(inner_ids->size(), texts->size());
+  for (size_t i = 0; i < inner_ids->size(); ++i) {
+    ENTANGLED_CHECK_EQ((*inner_ids)[i], first + static_cast<int64_t>(i))
+        << "inner service id allocation diverged from admission order";
+  }
+  KeepLiveTexts(first, texts->data());
   // A batch admits whole, then flushes once: the inner engine resets
   // its per-arrival phase (see CoordinationEngine::SubmitBatch).
   if (evaluate_every_ > 0) cadence_phase_ = 0;
+  return std::move(*inner_ids);
 }
 
-QueryId DurableCoordinationService::DurableId(QueryId inner) const {
-  if (static_cast<size_t>(inner) < recovered_.size()) {
-    return static_cast<QueryId>(recovered_[static_cast<size_t>(inner)]);
+void DurableCoordinationService::KeepLiveTexts(int64_t first,
+                                               std::string* texts) {
+  // Only the admission that took ids from `first` on can sit there.
+  for (auto it = live_.lower_bound(first); it != live_.end(); ++it) {
+    it->second.text = std::move(texts[it->first - first]);
   }
-  return static_cast<QueryId>(inner + id_offset_);
-}
-
-QueryId DurableCoordinationService::InnerId(int64_t id) const {
-  if (id < 0 || id >= next_durable_id_) return -1;
-  const int64_t inner = id - id_offset_;
-  if (inner >= static_cast<int64_t>(recovered_.size())) {
-    return static_cast<QueryId>(inner);
-  }
-  // Below the offset only the recovered prefix is known here: other ids
-  // were delivered or cancelled before the snapshot.
-  auto it = std::lower_bound(recovered_.begin(), recovered_.end(), id);
-  if (it == recovered_.end() || *it != id) return -1;
-  return static_cast<QueryId>(it - recovered_.begin());
 }
 
 void DurableCoordinationService::TickSubmitPhase() {
@@ -252,40 +247,30 @@ void DurableCoordinationService::MaybeAutoSnapshot() {
   }
 }
 
-// ----- delivery rewrite -----------------------------------------------------
+// ----- delivery forwarding --------------------------------------------------
 
 void DurableCoordinationService::OnInnerDelivery(const Delivery& delivery) {
-  // A process that never recovered shares the inner ids and sequence
-  // numbering, so the delivery forwards as it is.
-  Delivery translated;
-  const bool identity =
-      recovered_.empty() && id_offset_ == 0 && sequence_offset_ == 0;
-  if (!identity) {
-    translated = delivery;
-    translated.sequence += sequence_offset_;
-    TranslateDelivery([this](QueryId inner) { return DurableId(inner); },
-                      &translated);
-  }
-  const Delivery& out = identity ? delivery : translated;
-  // Retire from the durable view (delivered queries leave the log's
-  // live set; the next snapshot no longer carries them).
-  for (const DeliveredQuery& q : out.queries) live_.erase(q.id);
-  delivered_next_ = out.sequence + 1;
+  // The inner service numbers queries and deliveries as the log does,
+  // so the delivery forwards as it is.  Retire from the durable view
+  // (delivered queries leave the log's live set; the next snapshot no
+  // longer carries them).
+  for (const DeliveredQuery& q : delivery.queries) live_.erase(q.id);
+  delivered_next_ = delivery.sequence + 1;
 
-  if (replaying_ && out.sequence < suppress_below_) {
+  if (replaying_ && delivery.sequence < suppress_below_) {
     // Re-derived by the replay but already seen by clients pre-crash:
     // not re-forwarded — but the session manager never hears about a
     // suppressed delivery, so its pending bookkeeping is settled here.
     ++report_.suppressed_deliveries;
     if (replay_sessions_ != nullptr) {
-      for (const DeliveredQuery& q : out.queries) {
+      for (const DeliveredQuery& q : delivery.queries) {
         replay_sessions_->UnadoptRecovered(q.id);
       }
     }
     return;
   }
   if (replaying_) ++report_.reforwarded_deliveries;
-  if (downstream_) downstream_(out);
+  if (downstream_) downstream_(delivery);
   if (!replaying_) {
     // Watermark *after* the forward: a mid-call crash re-forwards this
     // delivery (at-least-once) instead of losing it.
@@ -335,7 +320,7 @@ Result<QueryId> DurableCoordinationService::SubmitParsed(
   record.text = query_text;
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardSubmit(record.session, query_text, std::move(parsed));
+  ForwardSubmit(record.session, &record.text, std::move(parsed));
   MaybeAutoSnapshot();
   return static_cast<QueryId>(durable_id);
 }
@@ -353,23 +338,19 @@ Result<std::vector<QueryId>> DurableCoordinationService::SubmitBatchParsed(
   }
   Status logged = LogRecord(record);
   if (!logged.ok()) return logged;
-  ForwardBatch(record.session, query_texts, std::move(parsed));
+  std::vector<std::string> texts = TakeBatchTexts(&record);
+  std::vector<QueryId> ids =
+      ForwardBatch(record.session, &texts, std::move(parsed));
   MaybeAutoSnapshot();
-  std::vector<QueryId> ids;
-  ids.reserve(record.batch.size());
-  for (const auto& [durable_id, text] : record.batch) {
-    ids.push_back(static_cast<QueryId>(durable_id));
-  }
   return ids;
 }
 
 bool DurableCoordinationService::Cancel(QueryId id) {
   ENTANGLED_CHECK(ready_) << "durable service used before Recover()";
-  const QueryId inner_id = InnerId(id);
   // Admission check before logging: the probe settles any queued intake
   // (the query may coordinate as earlier events drain), so a logged
   // cancel is always applicable on replay.
-  if (inner_id < 0 || !inner_->IsPending(inner_id)) return false;
+  if (!inner_->IsPending(id)) return false;
 
   WalRecord record;
   record.kind = WalRecord::Kind::kCancel;
@@ -378,7 +359,7 @@ bool DurableCoordinationService::Cancel(QueryId id) {
   Status logged = LogRecord(record);
   ENTANGLED_CHECK(logged.ok())
       << "cancel append failed: " << logged.ToString();
-  const bool cancelled = inner_->Cancel(inner_id);
+  const bool cancelled = inner_->Cancel(id);
   ENTANGLED_CHECK(cancelled) << "settled pending query refused to cancel";
   live_.erase(id);
   MaybeAutoSnapshot();
@@ -416,25 +397,16 @@ void DurableCoordinationService::set_evaluate_every(size_t evaluate_every) {
 // ----- reads ----------------------------------------------------------------
 
 std::vector<QueryId> DurableCoordinationService::PendingQueries() const {
-  std::vector<QueryId> pending = inner_->PendingQueries();
-  // The translation is monotone (the recovered prefix sits below every
-  // later id in both namespaces), so the list stays ascending.
-  for (QueryId& id : pending) id = DurableId(id);
-  return pending;
+  return inner_->PendingQueries();
 }
 
 bool DurableCoordinationService::IsPending(QueryId id) const {
-  const QueryId inner_id = InnerId(id);
-  return inner_id >= 0 && inner_->IsPending(inner_id);
+  return inner_->IsPending(id);
 }
 
 std::vector<QueryId> DurableCoordinationService::ComponentOf(
     QueryId id) const {
-  const QueryId inner_id = InnerId(id);
-  if (inner_id < 0) return {};
-  std::vector<QueryId> component = inner_->ComponentOf(inner_id);
-  for (QueryId& member : component) member = DurableId(member);
-  return component;
+  return inner_->ComponentOf(id);
 }
 
 EngineStats DurableCoordinationService::StatsSnapshot() const {
@@ -533,79 +505,74 @@ Status DurableCoordinationService::RotateWithSnapshot(uint64_t new_epoch) {
 
 // ----- recovery -------------------------------------------------------------
 
-void DurableCoordinationService::ApplyReplayed(const WalRecord& record,
+void DurableCoordinationService::ApplyReplayed(WalRecord* record,
                                                SessionManager* sessions) {
-  switch (record.kind) {
+  switch (record->kind) {
     case WalRecord::Kind::kSubmit: {
       QuerySet parsed;
-      if (record.id != next_durable_id_ ||
-          !ParseQuery(record.text, &parsed).ok()) {
+      if (record->id != next_durable_id_ ||
+          !ParseQuery(record->text, &parsed).ok()) {
         ++report_.anomalies;
         return;
       }
+      const QueryId id = static_cast<QueryId>(record->id);
       // Ownership lands before the submission so a delivery fired
       // inside the call (per-arrival evaluation) routes to its session.
-      if (sessions != nullptr && record.session >= 0) {
-        sessions->AdoptRecovered(record.session,
-                                 static_cast<QueryId>(record.id));
+      if (sessions != nullptr && record->session >= 0) {
+        sessions->AdoptRecovered(record->session, id);
       }
       // Replay runs at the recorded cadence, so the call itself can
       // deliver.  A parsed text cannot be refused by the inner
       // service, hence a CHECK rather than an anomaly.
-      ForwardSubmit(record.session, record.text, std::move(parsed));
+      ForwardSubmit(record->session, &record->text, std::move(parsed));
       // Second adoption pass marks the query session-pending now that
       // the service can answer IsPending for it.
-      if (sessions != nullptr && record.session >= 0) {
-        sessions->AdoptRecovered(record.session,
-                                 static_cast<QueryId>(record.id));
+      if (sessions != nullptr && record->session >= 0) {
+        sessions->AdoptRecovered(record->session, id);
       }
       return;
     }
     case WalRecord::Kind::kSubmitBatch: {
-      std::vector<std::string> texts;
-      texts.reserve(record.batch.size());
       QuerySet parsed;
       int64_t expected = next_durable_id_;
-      for (const auto& [durable_id, text] : record.batch) {
+      for (const auto& [durable_id, text] : record->batch) {
         if (durable_id != expected || !ParseQuery(text, &parsed).ok()) {
           ++report_.anomalies;
           return;
         }
         ++expected;
-        texts.push_back(text);
       }
-      if (sessions != nullptr && record.session >= 0) {
-        for (const auto& [durable_id, text] : record.batch) {
-          sessions->AdoptRecovered(record.session,
+      if (sessions != nullptr && record->session >= 0) {
+        for (const auto& [durable_id, text] : record->batch) {
+          sessions->AdoptRecovered(record->session,
                                    static_cast<QueryId>(durable_id));
         }
       }
-      ForwardBatch(record.session, texts, std::move(parsed));
-      if (sessions != nullptr && record.session >= 0) {
-        for (const auto& [durable_id, text] : record.batch) {
-          sessions->AdoptRecovered(record.session,
+      std::vector<std::string> texts = TakeBatchTexts(record);
+      ForwardBatch(record->session, &texts, std::move(parsed));
+      if (sessions != nullptr && record->session >= 0) {
+        for (const auto& [durable_id, text] : record->batch) {
+          sessions->AdoptRecovered(record->session,
                                    static_cast<QueryId>(durable_id));
         }
       }
       return;
     }
     case WalRecord::Kind::kCancel: {
-      const QueryId inner_id = InnerId(record.id);
-      if (inner_id < 0 || !inner_->IsPending(inner_id)) {
+      const QueryId id = static_cast<QueryId>(record->id);
+      if (!inner_->IsPending(id)) {
         ++report_.anomalies;
         return;
       }
-      const bool cancelled = inner_->Cancel(inner_id);
+      const bool cancelled = inner_->Cancel(id);
       ENTANGLED_CHECK(cancelled);
-      live_.erase(record.id);
-      if (sessions != nullptr) {
-        sessions->UnadoptRecovered(static_cast<QueryId>(record.id));
-      }
+      live_.erase(record->id);
+      if (sessions != nullptr) sessions->UnadoptRecovered(id);
       return;
     }
     case WalRecord::Kind::kSetEvaluateEvery:
-      inner_->set_evaluate_every(static_cast<size_t>(record.value));
-      evaluate_every_ = static_cast<size_t>(record.value);
+      inner_->set_evaluate_every(static_cast<size_t>(record->value));
+      evaluate_every_ = static_cast<size_t>(record->value);
       return;
     case WalRecord::Kind::kFlush:
       inner_->Flush();
@@ -627,7 +594,6 @@ Status DurableCoordinationService::Recover(DurableState state,
 
   // Counters resume where the snapshot left them.
   next_durable_id_ = state.snapshot.next_durable_id;
-  sequence_offset_ = state.snapshot.next_sequence;
   delivered_next_ = state.snapshot.next_sequence;
   evaluate_every_ = static_cast<size_t>(state.snapshot.evaluate_every);
   total_events_ = state.snapshot.total_events;
@@ -645,37 +611,39 @@ Status DurableCoordinationService::Recover(DurableState state,
   // suspended: admission must not deliver while the set is a partial
   // prefix (the pre-crash service never evaluated these mid-rebuild
   // either; their admission-time evaluations already ran before the
-  // snapshot and found nothing, or they would not be pending).  They
-  // become inner ids [0, P) in ascending durable order — the recovered
-  // prefix — and every later admission lands one offset past it.
-  id_offset_ = next_durable_id_ -
-               static_cast<int64_t>(state.snapshot.pending.size());
+  // snapshot and found nothing, or they would not be pending).  Each
+  // is resubmitted under its own durable id; then the inner service
+  // resumes at the snapshot's next id and sequence, so from here on it
+  // issues the durable ids and delivery sequences itself.
   auto abort = [this](const std::string& message) {
     replaying_ = false;
     replay_sessions_ = nullptr;
     return Status::Internal(message);
   };
+  const uint64_t next_sequence = state.snapshot.next_sequence;
   inner_->set_evaluate_every(0);
-  for (const SnapshotPendingQuery& pending : state.snapshot.pending) {
+  for (SnapshotPendingQuery& pending : state.snapshot.pending) {
     if (pending.id >= next_durable_id_ ||
-        (!recovered_.empty() && pending.id <= recovered_.back())) {
+        (!live_.empty() && pending.id <= live_.rbegin()->first)) {
       return abort("snapshot pending query " + std::to_string(pending.id) +
                    " is out of order");
     }
+    const QueryId id = static_cast<QueryId>(pending.id);
+    inner_->ResumeNumbering(id, next_sequence);
     auto inner_id = inner_->Submit(pending.text);
     if (!inner_id.ok()) {
       return abort("snapshot pending query " + std::to_string(pending.id) +
                    " no longer parses: " + inner_id.status().message());
     }
-    ENTANGLED_CHECK_EQ(static_cast<size_t>(*inner_id), recovered_.size())
-        << "Recover() needs a fresh inner service";
-    recovered_.push_back(pending.id);
-    live_[pending.id] = LiveQuery{pending.session, pending.text};
+    ENTANGLED_CHECK_EQ(*inner_id, id) << "Recover() needs a fresh inner service";
+    live_.emplace_hint(live_.end(), pending.id,
+                       LiveQuery{pending.session, std::move(pending.text)});
     if (sessions != nullptr && pending.session >= 0) {
-      sessions->AdoptRecovered(pending.session,
-                               static_cast<QueryId>(pending.id));
+      sessions->AdoptRecovered(pending.session, id);
     }
   }
+  inner_->ResumeNumbering(static_cast<QueryId>(next_durable_id_),
+                          next_sequence);
   report_.recovered_pending = state.snapshot.pending.size();
 
   // Cadence resumes exactly where the snapshot froze it.
@@ -686,8 +654,8 @@ Status DurableCoordinationService::Recover(DurableState state,
   // Phase B — replay the tail at the recorded cadence.  Deliveries
   // re-derived below the watermark are suppressed in OnInnerDelivery;
   // ones beyond it forward to the (already wired) downstream now.
-  for (const WalRecord& record : state.tail) {
-    ApplyReplayed(record, sessions);
+  for (WalRecord& record : state.tail) {
+    ApplyReplayed(&record, sessions);
     ++report_.replayed_events;
   }
   // Settle queued intake so every pre-crash delivery is re-derived (and

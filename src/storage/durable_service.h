@@ -101,19 +101,19 @@ Result<DurableState> ReadDurableState(const std::string& dir);
 /// must parse, a cancel's target must be pending) but *before* it is
 /// applied to the inner service, so the log holds exactly the accepted
 /// intent stream.  A submission arriving through SubmitParsed is
-/// already parsed; the decorator logs its text and hands the parse on.  The
-/// decorator owns a durable id namespace that survives restarts.  Until
-/// a Recover() the inner service allocates exactly the durable ids
-/// (admission order determines them).  A recovered process resubmits
-/// the snapshot's P pending queries first, as inner ids [0, P), so only
-/// those differ by a lookup; every later id is one constant offset
-/// away.  Ids are translated on the way in (cancels, reads) and
-/// deliveries on the way out (TranslateDelivery), without ever reading
-/// engine internals; a delivery's witnesses are per participant and
-/// need no translation.
+/// already parsed; the decorator logs its text and hands the parse on.
+/// Query ids are durable: they survive restarts.  The inner service
+/// issues them itself (admission order determines them), so the
+/// decorator rewrites no id on the way in (cancels, reads) and no
+/// delivery on the way out.  Its only per-query state is the live
+/// (pending) texts a snapshot needs.
 ///
 /// Recovery = load latest snapshot + resubmit its pending queries with
-/// evaluation suspended + replay the WAL tail at the recorded cadence.
+/// evaluation suspended, each under its durable id, + replay the WAL
+/// tail at the recorded cadence.  CoordinationService::ResumeNumbering
+/// points the inner service at each snapshot-pending id before that
+/// query's resubmission, then at the snapshot's next id and delivery
+/// sequence, so it continues the durable numbering from there.
 /// Delivery sequences RESUME (the snapshot records the watermark);
 /// deliveries re-derived below the watermark are suppressed, ones
 /// beyond it are forwarded as new.  Crashes at event boundaries recover
@@ -169,11 +169,14 @@ class DurableCoordinationService : public CoordinationService {
   /// direct-service use; unknown or closed session tags leave orphaned
   /// queries service-pending).  Must be called exactly once, before any
   /// submission, on a decorator whose Create found a non-empty
-  /// directory.  Ends by rotating into a fresh snapshot + segment, so a
-  /// second recovery replays the rotated state, not the old log
-  /// (double-recovery idempotence).  That rotation reuses every fact
-  /// segment of `state` whose rows the live relation holds exactly, so
-  /// it writes only the relations that differ.
+  /// directory, over a fresh inner service that implements
+  /// ResumeNumbering (a decorator in between must forward it; the
+  /// default CHECK-fails here).  Ends by rotating into a fresh
+  /// snapshot + segment, so a second recovery replays the rotated
+  /// state, not the old log (double-recovery idempotence).  That
+  /// rotation reuses every fact segment of `state` whose rows the live
+  /// relation holds exactly, so it writes only the relations that
+  /// differ.
   Status Recover(DurableState state, SessionManager* sessions);
 
   /// Forces a rotation now: settle queued intake, snapshot live state,
@@ -205,27 +208,24 @@ class DurableCoordinationService : public CoordinationService {
 
   Status LogRecord(const WalRecord& record);
   void OnInnerDelivery(const Delivery& delivery);
-  /// Allocates the next durable id for one admission, records it live,
-  /// and returns the inner id the inner service must assign it.  Runs
-  /// before the inner call, whose per-arrival evaluation may deliver
-  /// the query at once.
-  QueryId AdmitNext(int64_t session, const std::string& text);
-  /// Admits a parsed text (or batch) and forwards the parse to the
-  /// inner service, checking the inner ids and mirroring the cadence.
-  void ForwardSubmit(int64_t session, const std::string& text,
-                     QuerySet parsed);
-  void ForwardBatch(int64_t session, const std::vector<std::string>& texts,
-                    QuerySet parsed);
-  /// Durable id of an inner query.
-  QueryId DurableId(QueryId inner) const;
-  /// Inner id of durable query `id`, or -1 when this process never
-  /// admitted it (not yet assigned, or retired before the snapshot it
-  /// recovered from).
-  QueryId InnerId(int64_t id) const;
+  /// Admits a logged text (or batch) under the next durable id(s):
+  /// forwards the parse to the inner service, checks that it issued the
+  /// same ids, and mirrors the cadence.  The queries are live before
+  /// the inner call, whose per-arrival evaluation may deliver them at
+  /// once; each logged text then moves into its live entry if the
+  /// query is still pending.
+  void ForwardSubmit(int64_t session, std::string* text, QuerySet parsed);
+  std::vector<QueryId> ForwardBatch(int64_t session,
+                                    std::vector<std::string>* texts,
+                                    QuerySet parsed);
+  /// Moves `texts[i]` into the live entry of durable id `first + i`,
+  /// for every one of them still live.
+  void KeepLiveTexts(int64_t first, std::string* texts);
   void TickSubmitPhase();
   void MaybeAutoSnapshot();
   Status RotateWithSnapshot(uint64_t new_epoch);
-  void ApplyReplayed(const WalRecord& record, SessionManager* sessions);
+  /// Re-applies one tail record; its texts move into live_.
+  void ApplyReplayed(WalRecord* record, SessionManager* sessions);
 
   CoordinationService* inner_;
   const Database* db_;
@@ -249,16 +249,10 @@ class DurableCoordinationService : public CoordinationService {
   /// itself.
   SessionManager* replay_sessions_ = nullptr;
 
-  // The durable id namespace and its inner translation.
   int64_t next_durable_id_ = 0;
-  /// The recovered prefix: durable id of inner query i, ascending.
-  std::vector<int64_t> recovered_;
-  int64_t id_offset_ = 0;  ///< durable - inner id past the prefix
   std::map<int64_t, LiveQuery> live_;  ///< durable id -> admitted intent
 
-  // Delivery sequencing: durable sequence = offset + inner sequence.
-  uint64_t sequence_offset_ = 0;
-  uint64_t delivered_next_ = 0;   ///< next durable sequence to be assigned
+  uint64_t delivered_next_ = 0;   ///< next delivery sequence to be assigned
   uint64_t suppress_below_ = 0;   ///< recovery watermark (replay only)
 
   // Cadence mirror (never reads engine internals).

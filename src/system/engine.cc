@@ -28,7 +28,7 @@ CoordinationEngine::CoordinationEngine(const Database* db,
   if (options_.intake_capacity > 0) {
     intake_ =
         std::make_unique<MpscQueue<IntakeEvent>>(options_.intake_capacity);
-    // all_ is empty and no ticket has been claimed: base = 0.
+    // No id has been issued and no ticket claimed: base = 0.
   }
 }
 
@@ -36,20 +36,45 @@ CoordinationEngine::CoordinationEngine(const Database* db,
 // Submission
 // ---------------------------------------------------------------------------
 
+void CoordinationService::ResumeNumbering(QueryId next_id,
+                                          uint64_t next_sequence) {
+  (void)next_id;
+  (void)next_sequence;
+  ENTANGLED_CHECK(false)
+      << "ResumeNumbering is not implemented by this service: a decorator "
+         "must forward it to the service it wraps";
+}
+
 void CoordinationEngine::Deliver(const CoordinationSolution& solution) {
   const uint64_t sequence = next_delivery_sequence_++;
   if (internal_callback_) {
     in_callback_ = true;
-    internal_callback_(all_, solution);
+    internal_callback_(solution);
     in_callback_ = false;
   } else if (callback_) {
     // Materialize only when somebody listens: texts and grounded heads
     // cost allocations the silent path should not pay.
-    const Delivery delivery = MakeDelivery(all_, solution, sequence);
+    const Delivery delivery = MakeIdDelivery(solution, sequence, true);
     in_callback_ = true;
     callback_(delivery);
     in_callback_ = false;
   }
+}
+
+Delivery CoordinationEngine::MakeIdDelivery(
+    const CoordinationSolution& solution, uint64_t sequence,
+    bool materialize) const {
+  Delivery delivery;
+  if (materialize) {
+    delivery = MakeDelivery(all_, solution, sequence);
+  } else {
+    delivery.sequence = sequence;
+    delivery.queries.resize(solution.queries.size());
+  }
+  for (size_t i = 0; i < solution.queries.size(); ++i) {
+    delivery.queries[i].id = id_of(solution.queries[i]);
+  }
+  return delivery;
 }
 
 void CoordinationEngine::CheckNotReentrant(const char* entry_point) const {
@@ -91,11 +116,7 @@ Result<QueryId> CoordinationEngine::SubmitParsed(
       << "SubmitParsed takes the parse of exactly one text";
   if (intake_ != nullptr) return SubmitDeferred(std::move(parsed));
   CheckNotReentrant("Submit");
-  // Moving the query allocates the ids and variables a direct parse
-  // into all_ would.
-  const QueryId id = all_.MoveQuery(&parsed, 0);
-  Admit(id);
-  return id;
+  return Admit(&parsed, 0, /*cadence=*/true);
 }
 
 Result<std::vector<QueryId>> CoordinationEngine::SubmitBatchParsed(
@@ -107,19 +128,15 @@ Result<std::vector<QueryId>> CoordinationEngine::SubmitBatchParsed(
   }
   CheckNotReentrant("SubmitBatch");
   DrainIntake();  // empty deferred batch: flush below covers the queue
+  // No per-arrival evaluation while the batch is admitted: the whole
+  // batch lands in the graph first, then one Flush() examines the
+  // (merged) dirty components once instead of once per arrival.
   std::vector<QueryId> ids;
   ids.reserve(parsed.size());
   for (QueryId q = 0; q < static_cast<QueryId>(parsed.size()); ++q) {
-    ids.push_back(all_.MoveQuery(&parsed, q));
+    ids.push_back(Admit(&parsed, q, /*cadence=*/false));
   }
-  // Suspend per-arrival evaluation while the batch is admitted: the
-  // whole batch lands in the graph first, then one Flush() examines the
-  // (merged) dirty components once instead of once per arrival.
-  const size_t evaluate_every = options_.evaluate_every;
-  options_.evaluate_every = 0;
-  for (QueryId id : ids) Admit(id);
-  options_.evaluate_every = evaluate_every;
-  if (evaluate_every > 0) {
+  if (options_.evaluate_every > 0) {
     since_last_eval_ = 0;
     Flush();
   }
@@ -188,19 +205,11 @@ void CoordinationEngine::DrainIntake() {
     const QueryId predicted = static_cast<QueryId>(
         intake_base_.load(std::memory_order_relaxed) +
         static_cast<int64_t>(intake_drained_++));
-    // Replay the inline admission path: move the staged query in (same
-    // query/variable ids a direct parse would have produced), index it,
-    // and apply the cadence the event carried.
-    const QueryId adopted = all_.MoveQuery(&event.staging, 0);
-    ENTANGLED_CHECK_EQ(adopted, predicted)
+    ENTANGLED_CHECK_EQ(predicted, next_id_)
         << "intake drain order diverged from ticket order";
-    ++stats_.submitted;
-    IndexQuery(predicted);
-    if (event.cadence && options_.evaluate_every > 0 &&
-        ++since_last_eval_ >= options_.evaluate_every) {
-      since_last_eval_ = 0;
-      EvaluateComponentOf(predicted);
-    }
+    // Replay the inline admission path with the cadence the event
+    // carried.
+    Admit(&event.staging, 0, event.cadence);
     if (event.batch_tail && options_.evaluate_every > 0) {
       since_last_eval_ = 0;
       IncrementalFlush();
@@ -211,30 +220,51 @@ void CoordinationEngine::DrainIntake() {
 
 void CoordinationEngine::ResyncIntakeBase() {
   if (intake_ == nullptr) return;
-  intake_base_.store(static_cast<int64_t>(all_.size()) -
+  intake_base_.store(static_cast<int64_t>(next_id_) -
                          static_cast<int64_t>(intake_->next_ticket()),
                      std::memory_order_relaxed);
 }
 
-void CoordinationEngine::IndexQuery(QueryId id) {
+QueryId CoordinationEngine::Admit(QuerySet* src, QueryId index,
+                                  bool cadence) {
+  const QueryId id = next_id_;
+  const QueryId slot = Place(src, index, id);
+  ++stats_.submitted;
+  if (cadence && options_.evaluate_every > 0 &&
+      ++since_last_eval_ >= options_.evaluate_every) {
+    since_last_eval_ = 0;
+    EvaluateComponentOf(slot);
+  }
+  return id;
+}
+
+QueryId CoordinationEngine::Place(QuerySet* src, QueryId index, QueryId id) {
+  // Moving the query allocates the slot and variables a direct parse
+  // into all_ would.
+  const QueryId slot = all_.MoveQuery(src, index);
+  ids_.push_back(id);
+  ENTANGLED_CHECK(slots_.emplace(id, slot).second)
+      << "query id " << id << " is already pending";
+  next_id_ = std::max(next_id_, id + 1);
+  IndexQuery(slot);
+  return slot;
+}
+
+void CoordinationEngine::IndexQuery(QueryId slot) {
   const size_t n = all_.size();
   pending_.resize(n, false);
-  // Identity keys for directly submitted queries; AdoptPending already
-  // overwrote the adopted range when the caller passed explicit keys.
-  EnsureScheduleKeys(n);
-  pending_[static_cast<size_t>(id)] = true;
-  ++num_pending_;
+  pending_[static_cast<size_t>(slot)] = true;
 
-  // Every new id starts as its own singleton component.
+  // Every new slot starts as its own singleton component.
   while (uf_parent_.size() < n) {
     QueryId q = static_cast<QueryId>(uf_parent_.size());
     uf_parent_.push_back(q);
     uf_size_.push_back(1);
-    comp_min_.push_back(key_of(q));
+    comp_min_.push_back(id_of(q));
     comp_members_.push_back({q});
   }
   // Index the arrival; its incident edges are exactly the new ones.
-  graph_.AddQuery(all_, id);
+  graph_.AddQuery(all_, slot);
 
   // Persistent-subset maintenance must see the component partition
   // *before* the arrival's unions: an arrival joining exactly one
@@ -245,30 +275,30 @@ void CoordinationEngine::IndexQuery(QueryId id) {
   // rebuild produces.
   std::vector<QueryId> neighbour_roots;
   auto note = [&](QueryId neighbour) {
-    if (neighbour == id) return;  // self-loop: no pre-existing root
+    if (neighbour == slot) return;  // self-loop: no pre-existing root
     QueryId root = FindRoot(neighbour);
     for (QueryId seen : neighbour_roots) {
       if (seen == root) return;
     }
     neighbour_roots.push_back(root);
   };
-  for (size_t e : graph_.OutEdges(id)) note(graph_.edge(e).to);
-  for (size_t e : graph_.InEdges(id)) note(graph_.edge(e).from);
+  for (size_t e : graph_.OutEdges(slot)) note(graph_.edge(e).to);
+  for (size_t e : graph_.InEdges(slot)) note(graph_.edge(e).from);
   QueryId extended_root = -1;
   if (neighbour_roots.size() == 1) {
-    ExtendComponentState(neighbour_roots.front(), id);
+    ExtendComponentState(neighbour_roots.front(), slot);
     extended_root = neighbour_roots.front();
   } else if (neighbour_roots.size() > 1) {
     for (QueryId root : neighbour_roots) DoomComponentState(root);
   }
 
-  for (size_t e : graph_.OutEdges(id)) {
-    UnionComps(id, graph_.edge(e).to);
+  for (size_t e : graph_.OutEdges(slot)) {
+    UnionComps(slot, graph_.edge(e).to);
   }
-  for (size_t e : graph_.InEdges(id)) {
-    UnionComps(id, graph_.edge(e).from);
+  for (size_t e : graph_.InEdges(slot)) {
+    UnionComps(slot, graph_.edge(e).from);
   }
-  const QueryId new_root = FindRoot(id);
+  const QueryId new_root = FindRoot(slot);
   if (extended_root >= 0 && new_root != extended_root) {
     // The union picked the arrival as the surviving root (two
     // singletons): re-key the extended state under it.
@@ -282,28 +312,19 @@ void CoordinationEngine::IndexQuery(QueryId id) {
   dirty_roots_.insert(new_root);
 }
 
-void CoordinationEngine::Admit(QueryId id) {
-  ++stats_.submitted;
-  IndexQuery(id);
-
-  if (options_.evaluate_every > 0 &&
-      ++since_last_eval_ >= options_.evaluate_every) {
-    since_last_eval_ = 0;
-    EvaluateComponentOf(id);
-  }
-}
-
 bool CoordinationEngine::Cancel(QueryId id) {
   CheckNotReentrant("Cancel");
   // Cancels apply inline (the caller needs the exact boolean), after
   // any queued submissions that arrived before it.
   DrainIntake();
   doomed_states_.clear();  // previous round's references are released
-  if (!IsPending(id)) return false;
-  pending_[static_cast<size_t>(id)] = false;
-  --num_pending_;
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return false;
+  const QueryId slot = it->second;
+  slots_.erase(it);
+  pending_[static_cast<size_t>(slot)] = false;
   ++stats_.cancelled;
-  std::vector<QueryId> fragment_roots = RetireAndRepartition({id});
+  std::vector<QueryId> fragment_roots = RetireAndRepartition({slot});
   if (options_.fault.lose_dirty_on_cancel) {
     // Test-only fault: drop the re-evaluation marks the repartition
     // just made (see EngineFaultInjection::lose_dirty_on_cancel).
@@ -322,23 +343,26 @@ std::vector<QueryId> CoordinationEngine::PendingQueries() const {
   // flush/read boundary, so the pending set is never torn.
   DrainIntakeConst();
   std::vector<QueryId> pending;
-  pending.reserve(num_pending_);
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i]) pending.push_back(static_cast<QueryId>(i));
-  }
+  pending.reserve(slots_.size());
+  for (const auto& [id, slot] : slots_) pending.push_back(id);
+  std::sort(pending.begin(), pending.end());
   return pending;
 }
 
 bool CoordinationEngine::IsPending(QueryId id) const {
   DrainIntakeConst();
-  return id >= 0 && static_cast<size_t>(id) < pending_.size() &&
-         pending_[static_cast<size_t>(id)];
+  return slots_.count(id) != 0;
 }
 
 std::vector<QueryId> CoordinationEngine::ComponentOf(QueryId id) const {
-  if (!IsPending(id)) return {};
-  std::vector<QueryId> component =
-      comp_members_[static_cast<size_t>(FindRoot(id))];
+  DrainIntakeConst();
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return {};
+  const std::vector<QueryId>& members =
+      comp_members_[static_cast<size_t>(FindRoot(it->second))];
+  std::vector<QueryId> component;
+  component.reserve(members.size());
+  for (QueryId slot : members) component.push_back(id_of(slot));
   std::sort(component.begin(), component.end());
   return component;
 }
@@ -408,7 +432,7 @@ std::vector<QueryId> CoordinationEngine::RetireAndRepartition(
   for (QueryId m : survivors) {
     uf_parent_[static_cast<size_t>(m)] = m;
     uf_size_[static_cast<size_t>(m)] = 1;
-    comp_min_[static_cast<size_t>(m)] = key_of(m);
+    comp_min_[static_cast<size_t>(m)] = id_of(m);
     comp_members_[static_cast<size_t>(m)] = {m};
   }
   for (QueryId m : survivors) {
@@ -445,28 +469,27 @@ void CoordinationEngine::BuildTask(QueryId root, EvalTask* task) const {
   ENTANGLED_CHECK(!src.empty());
   std::vector<QueryId, ArenaAllocator<QueryId>> members(
       src.begin(), src.end(), ArenaAllocator<QueryId>(&flush_arena_));
-  // Order members by schedule key, not engine id: keys are monotone in
-  // global submission order even when local ids are not (queries merged
-  // into this engine mid-life), so the dense subset — and with it every
-  // discovery-order tie-break inside the solver — is byte-identical to
-  // what a single engine over the union would build.
+  // Order members by id, not slot: ids are monotone in submission order
+  // even when slots are not (queries merged into this engine mid-life),
+  // so the dense subset — and with it every discovery-order tie-break
+  // inside the solver — is byte-identical to what a single engine over
+  // the union would build.
   std::sort(members.begin(), members.end(), [this](QueryId a, QueryId b) {
-    return key_of(a) < key_of(b);
+    return id_of(a) < id_of(b);
   });
-  task->min_key = key_of(members.front());
+  task->min_key = id_of(members.front());
   task->original.clear();
   task->original_vars.clear();
   task->edges.clear();
   task->subset = all_.Subset(members.data(), members.size(), &task->original,
                              &task->original_vars);
 
-  auto local_id = [this, &members](QueryId engine_id) {
-    const QueryId key = key_of(engine_id);
-    auto it = std::lower_bound(members.begin(), members.end(), key,
-                               [this](QueryId member, QueryId k) {
-                                 return key_of(member) < k;
+  auto local_id = [this, &members](QueryId slot) {
+    auto it = std::lower_bound(members.begin(), members.end(), id_of(slot),
+                               [this](QueryId member, QueryId id) {
+                                 return id_of(member) < id;
                                });
-    ENTANGLED_CHECK(it != members.end() && *it == engine_id);
+    ENTANGLED_CHECK(it != members.end() && *it == slot);
     return static_cast<QueryId>(it - members.begin());
   };
   // Slice the component's edges out of the persistent graph instead of
@@ -530,16 +553,17 @@ CoordinationEngine::ComponentState* CoordinationEngine::EnsureComponentState(
   return ptr;
 }
 
-void CoordinationEngine::ExtendComponentState(QueryId root, QueryId id) {
+void CoordinationEngine::ExtendComponentState(QueryId root, QueryId slot) {
   auto it = comp_states_.find(root);
   if (it == comp_states_.end()) return;  // lazily rebuilt at next eval
   ComponentState* state = it->second.get();
   EvalTask* task = &state->task;
-  if (!task->original.empty() && key_of(task->original.back()) >= key_of(id)) {
-    // Appending would break the ascending-key invariant the dense
-    // subset depends on (an arrival normally carries the largest key —
-    // but a merge can adopt interleaved keys; degrade to a rebuild
-    // rather than corrupt the subset).
+  if (!task->original.empty() &&
+      id_of(task->original.back()) >= id_of(slot)) {
+    // Appending would break the ascending-id invariant the dense subset
+    // depends on (an arrival normally carries the largest id — but a
+    // merge can adopt interleaved ids; degrade to a rebuild rather than
+    // corrupt the subset).
     DoomComponentState(root);
     return;
   }
@@ -548,36 +572,36 @@ void CoordinationEngine::ExtendComponentState(QueryId root, QueryId id) {
   // Subset uses and queries never share variables, so the extended
   // subset is byte-identical to a rebuild over the grown member list.
   std::vector<std::pair<VarId, VarId>> var_map;
-  std::vector<QueryId> adopted = task->subset.AdoptQueries(all_, {id},
+  std::vector<QueryId> adopted = task->subset.AdoptQueries(all_, {slot},
                                                            &var_map);
   ENTANGLED_CHECK_EQ(adopted.size(), size_t{1});
   const QueryId arrival_local = adopted.front();
-  task->original.push_back(id);
+  task->original.push_back(slot);
   task->original_vars.resize(task->subset.num_vars());
   for (const auto& [source_var, local_var] : var_map) {
     task->original_vars[static_cast<size_t>(local_var)] = source_var;
   }
-  // min_key is unchanged: the arrival carries the largest key.
+  // min_key is unchanged: the arrival carries the largest id.
 
-  auto local_id = [this, task](QueryId engine_id) {
-    const QueryId key = key_of(engine_id);
+  auto local_id = [this, task](QueryId member_slot) {
     auto pos = std::lower_bound(task->original.begin(), task->original.end(),
-                                key, [this](QueryId member, QueryId k) {
-                                  return key_of(member) < k;
+                                id_of(member_slot),
+                                [this](QueryId member, QueryId id) {
+                                  return id_of(member) < id;
                                 });
-    ENTANGLED_CHECK(pos != task->original.end() && *pos == engine_id);
+    ENTANGLED_CHECK(pos != task->original.end() && *pos == member_slot);
     return static_cast<QueryId>(pos - task->original.begin());
   };
   // The arrival's incident edges are exactly the new ones; a self-loop
   // shows up in both directions but is one edge.
-  for (size_t e : graph_.OutEdges(id)) {
+  for (size_t e : graph_.OutEdges(slot)) {
     const ExtendedEdge& edge = graph_.edge(e);
     task->edges.push_back(ExtendedEdge{arrival_local, edge.post_index,
                                        local_id(edge.to), edge.head_index});
   }
-  for (size_t e : graph_.InEdges(id)) {
+  for (size_t e : graph_.InEdges(slot)) {
     const ExtendedEdge& edge = graph_.edge(e);
-    if (edge.from == id) continue;  // self-loop already appended above
+    if (edge.from == slot) continue;  // self-loop already appended above
     task->edges.push_back(ExtendedEdge{local_id(edge.from), edge.post_index,
                                        arrival_local, edge.head_index});
   }
@@ -649,17 +673,17 @@ bool CoordinationEngine::ApplyOutcome(const EvalTask& task,
     return false;
   }
   // Translate subset ids — queries and witness variables — back to
-  // engine ids and retire the winners.
+  // engine slots and variables and retire the winners.
   CoordinationSolution solution;
   outcome.solution.assignment.ForEach([&](VarId local, const Value& value) {
     solution.assignment.emplace(
         task.original_vars[static_cast<size_t>(local)], value);
   });
   for (QueryId local : outcome.solution.queries) {
-    QueryId engine_id = task.original[static_cast<size_t>(local)];
-    solution.queries.push_back(engine_id);
-    pending_[static_cast<size_t>(engine_id)] = false;
-    --num_pending_;
+    const QueryId slot = task.original[static_cast<size_t>(local)];
+    solution.queries.push_back(slot);
+    pending_[static_cast<size_t>(slot)] = false;
+    slots_.erase(id_of(slot));
   }
   std::sort(solution.queries.begin(), solution.queries.end());
   std::vector<QueryId> fragment_roots = RetireAndRepartition(solution.queries);
@@ -667,12 +691,14 @@ bool CoordinationEngine::ApplyOutcome(const EvalTask& task,
   stats_.coordinated_queries += solution.queries.size();
   ++stats_.coordinating_sets;
   last_delivery_key_ = task.min_key;
+  // A Delivery lists its participants by ascending id.
+  std::sort(solution.queries.begin(), solution.queries.end(),
+            [this](QueryId a, QueryId b) { return id_of(a) < id_of(b); });
   Deliver(solution);
   return true;
 }
 
 bool CoordinationEngine::EvaluateComponentOf(QueryId root) {
-  if (!IsPending(root)) return false;
   doomed_states_.clear();  // previous round's references are released
   dirty_roots_.erase(FindRoot(root));
   flush_arena_.Reset();
@@ -718,14 +744,10 @@ size_t CoordinationEngine::IncrementalFlush() {
   // back down to the components that actually read a mutated relation.
   if (db_->version() != last_db_version_) {
     last_db_version_ = db_->version();
-    for (size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i]) {
-        dirty_roots_.insert(FindRoot(static_cast<QueryId>(i)));
-      }
-    }
+    for (const auto& [id, slot] : slots_) dirty_roots_.insert(FindRoot(slot));
   }
 
-  // Results are applied strictly in ascending smallest-member-key order
+  // Results are applied strictly in ascending smallest-member-id order
   // — the order the from-scratch oracle discovers components in — so
   // delivery order is deterministic and thread-count-independent.
   using HeapItem = std::pair<QueryId, size_t>;  // (min_key, slot index)
@@ -822,7 +844,18 @@ size_t CoordinationEngine::Flush() {
 bool CoordinationEngine::EvaluateNow(QueryId id) {
   CheckNotReentrant("EvaluateNow");
   DrainIntake();
-  return EvaluateComponentOf(id);
+  auto it = slots_.find(id);
+  return it != slots_.end() && EvaluateComponentOf(it->second);
+}
+
+void CoordinationEngine::ResumeNumbering(QueryId next_id,
+                                         uint64_t next_sequence) {
+  CheckNotReentrant("ResumeNumbering");
+  DrainIntake();
+  ENTANGLED_CHECK_GE(next_id, next_id_) << "ids only move forward";
+  next_id_ = next_id;
+  next_delivery_sequence_ = next_sequence;
+  ResyncIntakeBase();
 }
 
 // ---------------------------------------------------------------------------
@@ -833,16 +866,20 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
   CheckNotReentrant("ExtractPending");
   DrainIntake();  // queued submissions are pending too: extract them
   PendingExtract extract;
-  const std::vector<QueryId> pending = PendingQueries();
+  std::vector<QueryId> pending;  // slots
+  pending.reserve(slots_.size());
+  for (size_t slot = 0; slot < pending_.size(); ++slot) {
+    if (pending_[slot]) pending.push_back(static_cast<QueryId>(slot));
+  }
   extract.queries = all_.Subset(pending);
-  // Schedule keys travel with the queries, so whichever engine adopts
-  // this extract keeps scheduling them in the same global order.
-  extract.keys.reserve(pending.size());
-  for (QueryId id : pending) extract.keys.push_back(key_of(id));
-  // Detach: the queries stay in all_ (ids are never reused) but leave
-  // every live structure, as if they had never been admitted.
-  for (QueryId id : pending) pending_[static_cast<size_t>(id)] = false;
-  num_pending_ = 0;
+  // Ids travel with the queries, so whichever engine adopts this
+  // extract keeps answering and scheduling them under the same ids.
+  extract.ids.reserve(pending.size());
+  for (QueryId slot : pending) extract.ids.push_back(id_of(slot));
+  // Detach: the queries keep their slots in all_ but leave every live
+  // structure, as if they had never been admitted.
+  for (QueryId slot : pending) pending_[static_cast<size_t>(slot)] = false;
+  slots_.clear();
   graph_ = ExtendedCoordinationGraph();
   uf_parent_.clear();
   uf_size_.clear();
@@ -857,29 +894,27 @@ CoordinationEngine::PendingExtract CoordinationEngine::ExtractPending() {
   return extract;
 }
 
-std::vector<QueryId> CoordinationEngine::AdoptPending(
-    QuerySet* src, const std::vector<QueryId>& ids,
-    const std::vector<QueryId>& keys) {
+// Adoption indexes without counting submissions or touching the
+// cadence: a migrated query was already counted where it first arrived,
+// and the caller decides when evaluation happens.  Components gaining
+// adopted members are conservatively dirty (IndexQuery), which can only
+// add provably-failing re-evaluations, never change what is delivered.
+
+void CoordinationEngine::AdoptPending(QuerySet* src, QueryId index,
+                                      QueryId id) {
   CheckNotReentrant("AdoptPending");
-  ENTANGLED_CHECK_EQ(keys.size(), ids.size());
   DrainIntake();
-  std::vector<QueryId> adopted;
-  adopted.reserve(ids.size());
-  for (QueryId id : ids) adopted.push_back(all_.MoveQuery(src, id));
-  ResyncIntakeBase();  // adoption grew all_ outside the ticket flow
-  // Keys must land before IndexQuery: component bookkeeping (comp_min_,
-  // persistent-subset extension guards) is key-ordered from the start.
-  EnsureScheduleKeys(all_.size());
-  for (size_t i = 0; i < adopted.size(); ++i) {
-    schedule_keys_[static_cast<size_t>(adopted[i])] = keys[i];
+  Place(src, index, id);
+  ResyncIntakeBase();  // adoption moved next_id_ outside the ticket flow
+}
+
+void CoordinationEngine::AdoptPending(PendingExtract* extract) {
+  CheckNotReentrant("AdoptPending");
+  DrainIntake();
+  for (size_t i = 0; i < extract->ids.size(); ++i) {
+    Place(&extract->queries, static_cast<QueryId>(i), extract->ids[i]);
   }
-  // Index without counting submissions or touching the cadence: a
-  // migrated query was already counted where it first arrived, and the
-  // caller decides when evaluation happens.  Components gaining adopted
-  // members are conservatively dirty (IndexQuery), which can only add
-  // provably-failing re-evaluations, never change what is delivered.
-  for (QueryId id : adopted) IndexQuery(id);
-  return adopted;
+  ResyncIntakeBase();
 }
 
 }  // namespace entangled

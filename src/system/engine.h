@@ -230,6 +230,14 @@ class CoordinationService {
   /// engines override; services without a cadence ignore it.
   virtual void RestoreCadencePhase(size_t phase) { (void)phase; }
 
+  /// Recovery hook: the next admission takes id `next_id` and the next
+  /// delivery sequence `next_sequence`, so a recovered service answers
+  /// and delivers in the ids and sequences its log recorded
+  /// (storage/durable_service.h).  Ids only move forward.  Both engines
+  /// override; the default CHECK-fails, so a decorator that does not
+  /// forward the hook stops at Recover() instead of diverging.
+  virtual void ResumeNumbering(QueryId next_id, uint64_t next_sequence);
+
   /// Declares the session on whose behalf the next calls are made (-1 =
   /// direct use).  A durability decorator records the tag alongside each
   /// logged event so recovery can rebuild session ownership; plain
@@ -343,16 +351,15 @@ class CoordinationEngine : public CoordinationService {
 
   /// The detachable form of an engine's pending queries: a standalone
   /// QuerySet with dense ids/vars (QuerySet::Subset) plus each query's
-  /// schedule key.  Keys travel with the queries, so adopting an extract
-  /// preserves the global ordering the source engine scheduled them
-  /// under (see AdoptPending).
+  /// id, so the adopting engine keeps answering and scheduling them
+  /// under the ids they were admitted with (see AdoptPending).
   struct PendingExtract {
     QuerySet queries;
-    std::vector<QueryId> keys;  ///< dense id -> source schedule key
+    std::vector<QueryId> ids;  ///< dense index -> query id
   };
 
   /// Detaches every pending query: returns them as a PendingExtract
-  /// (ascending source-id order) and drops them from this engine — the
+  /// (in admission-slot order) and drops them from this engine — the
   /// pending flags, the incremental graph, the component index, and the
   /// dirty marks are all cleared, as if the queries had never been
   /// admitted.  Counters other than the pending count are untouched;
@@ -360,31 +367,34 @@ class CoordinationEngine : public CoordinationService {
   /// their aggregate first.
   PendingExtract ExtractPending();
 
-  /// Admits `src`'s queries `ids` — from a freshly parsed staging set or
-  /// another engine's PendingExtract — moved into this engine's query
-  /// and variable namespaces (QuerySet::MoveQuery, which leaves them
-  /// empty in `*src`), each under the schedule key at the same position
-  /// of `keys`.
-  /// Adopted queries are indexed into the incremental structures and
-  /// their components marked dirty, but adoption never triggers
-  /// evaluation and never counts as a submission: the caller owns the
-  /// cadence and the submission accounting.  Returns the new ids, in
-  /// input order.
+  /// Admits query `index` of `*src` — a freshly parsed staging set —
+  /// under the caller's id `id`, moved into this engine's query and
+  /// variable namespaces (QuerySet::MoveQuery, which leaves it empty in
+  /// `*src`).  The adopted query is indexed into the incremental
+  /// structures and its component marked dirty, but adoption never
+  /// triggers evaluation and never counts as a submission: the caller
+  /// owns the cadence and the submission accounting.
   ///
-  /// Keys must be unique engine-wide; Submit keys a query by its own
-  /// id, so a caller mixing both must keep its keys clear of those ids
-  /// (the sharded front door only adopts, keyed by global id).  All
+  /// Ids must be unique engine-wide.  Adoption moves the next id Submit
+  /// hands out past `id`, so a caller mixing both never collides.  All
   /// scheduling order — solver tie-breaks, the flush apply heap,
-  /// last_delivery_schedule_key — follows keys, never local ids, which
-  /// is what lets a merge append queries to a survivor engine out of
-  /// local-id order and still reproduce the single-engine behaviour
-  /// byte for byte.
-  std::vector<QueryId> AdoptPending(QuerySet* src,
-                                    const std::vector<QueryId>& ids,
-                                    const std::vector<QueryId>& keys);
+  /// last_delivery_schedule_key — follows ids, never admission slots,
+  /// which is what lets a merge append queries to a survivor engine out
+  /// of id order and still reproduce the single-engine behaviour byte
+  /// for byte.
+  void AdoptPending(QuerySet* src, QueryId index, QueryId id);
+  /// Adopts every query of another engine's extract under its id, as
+  /// the single-query form does.
+  void AdoptPending(PendingExtract* extract);
 
-  /// Master query set (all queries ever submitted; retired ones keep
-  /// their slots).
+  /// Drains queued intake first: queued submissions keep the ids they
+  /// were promised (CoordinationService::ResumeNumbering).
+  void ResumeNumbering(QueryId next_id, uint64_t next_sequence) override;
+
+  /// Master query set: every query ever admitted, indexed by admission
+  /// slot (retired ones keep their slots).  Slots equal ids in an engine
+  /// that only admits through its Submit entry points and never resumes
+  /// numbering, so such an engine's deliveries index this set directly.
   const QuerySet& queries() const { return all_; }
 
   /// Queries awaiting coordination.
@@ -394,7 +404,7 @@ class CoordinationEngine : public CoordinationService {
   /// intake — reads always observe every accepted submission).
   size_t num_pending() const override {
     DrainIntakeConst();
-    return num_pending_;
+    return slots_.size();
   }
 
   /// Whether deferred admission is armed (EngineOptions::intake_capacity).
@@ -420,7 +430,7 @@ class CoordinationEngine : public CoordinationService {
   /// forcing a drain the way num_pending() does.
   ServiceGauges GaugesSnapshot() const override {
     ServiceGauges gauges;
-    gauges.pending = num_pending_ + IntakeDepth();
+    gauges.pending = slots_.size() + IntakeDepth();
     gauges.intake_depth = IntakeDepth();
     gauges.live_shards = 1;
     return gauges;
@@ -437,49 +447,52 @@ class CoordinationEngine : public CoordinationService {
     return stats;
   }
 
-  /// Scheduling key of the most recent delivery: the smallest schedule
-  /// key over the component the coordinating set was carved from (whose
-  /// holder may not itself be in the set).  Keys default to local ids;
-  /// AdoptPending can assign explicit ones (the sharded front door uses
-  /// global ids), in which case this returns the caller's key directly.
-  /// Deliveries within one Flush() are applied in nondecreasing key
-  /// order, so a front door that merges several engines' delivery
-  /// streams by this key reproduces the order a single engine over the
-  /// union would have produced.  Valid inside and after a delivery
-  /// callback; -1 before the first delivery.
+  /// Scheduling key of the most recent delivery: the smallest id over
+  /// the component the coordinating set was carved from (whose holder
+  /// may not itself be in the set).  Deliveries within one Flush() are
+  /// applied in nondecreasing key order, so a front door that merges
+  /// several engines' delivery streams by this key reproduces the order
+  /// a single engine over the union would have produced.  Valid inside
+  /// and after a delivery callback; -1 before the first delivery.
   QueryId last_delivery_schedule_key() const { return last_delivery_key_; }
 
  private:
-  /// The sharded front door materializes shard solutions itself (it
-  /// must rewrite shard-local ids/variables to global ones and merge
-  /// several shards' streams before firing any Delivery), so it taps
-  /// this internal hook instead of the public callback.
+  /// The sharded front door merges several shards' streams before
+  /// firing any Delivery, so it taps this internal hook instead of the
+  /// public callback and materializes through MakeIdDelivery itself.
   /// Deliberately private: no public callback or event may expose the
-  /// engine-internal QuerySet/CoordinationSolution types.
+  /// engine-internal CoordinationSolution type.
   friend class ShardedCoordinationEngine;
   using InternalSolutionCallback =
-      std::function<void(const QuerySet&, const CoordinationSolution&)>;
+      std::function<void(const CoordinationSolution&)>;
   void set_internal_solution_callback(InternalSolutionCallback callback) {
     internal_callback_ = std::move(callback);
   }
 
-  /// Fires the delivery hooks for one engine-space solution (reentrancy
-  /// guard included): the internal hook when set, else the public
-  /// Delivery callback.  Advances the delivery sequence either way.
+  /// Fires the delivery hooks for one slot-space solution, participants
+  /// ascending by id (reentrancy guard included): the internal hook when
+  /// set, else the public Delivery callback.  Advances the delivery
+  /// sequence either way.
   void Deliver(const CoordinationSolution& solution);
+
+  /// The one slot->id step: `solution` (slots, ascending by id) as a
+  /// Delivery in ids.  Names, texts, answers and witnesses are filled in
+  /// only when `materialize`; otherwise just the participant ids.
+  Delivery MakeIdDelivery(const CoordinationSolution& solution,
+                          uint64_t sequence, bool materialize) const;
 
   /// A component evaluation prepared on the coordinating thread: the
   /// component's queries renumbered into a standalone QuerySet plus the
   /// matching slice of the persistent graph, so workers touch no shared
   /// engine state.
-  /// Members are ordered by schedule key (ascending), so the dense
-  /// subset handed to the solver is monotone in global submission order
-  /// even when engine-local ids are not — the discovery-order
-  /// tie-breaks inside SccCoordinator then reproduce exactly what a
-  /// single engine over the union would decide.
+  /// Members are ordered by id (ascending), so the dense subset handed
+  /// to the solver is monotone in submission order even when admission
+  /// slots are not — the discovery-order tie-breaks inside
+  /// SccCoordinator then reproduce exactly what a single engine over
+  /// the union would decide.
   struct EvalTask {
-    QueryId min_key = -1;             ///< smallest member schedule key
-    std::vector<QueryId> original;    ///< local id -> engine id, key order
+    QueryId min_key = -1;             ///< smallest member id
+    std::vector<QueryId> original;    ///< local id -> slot, id order
     std::vector<VarId> original_vars; ///< local var -> engine var
     QuerySet subset;
     std::vector<ExtendedEdge> edges;  ///< local ids, canonical order
@@ -498,8 +511,8 @@ class CoordinationEngine : public CoordinationService {
   /// Persistent per-component evaluation state, keyed by union-find
   /// root.  The task's dense subset/maps/edges are extended in place
   /// when an arrival joins exactly this component — appending the newest
-  /// (largest schedule key) member reproduces byte for byte what a
-  /// rebuild over the key-ordered member list would produce, so local
+  /// (largest id) member reproduces byte for byte what a rebuild over
+  /// the id-ordered member list would produce, so local
   /// ids and variables stay stable and the memo's keys stay meaningful.
   /// Any other structure change (multi-component merge, cancel or
   /// delivery repartition, migration) drops the state; it is lazily
@@ -535,33 +548,29 @@ class CoordinationEngine : public CoordinationService {
     bool batch_tail = false;  ///< last member of a batch: flush after
   };
 
-  /// Shared admission path after `id` was appended to all_: counts the
-  /// submission, indexes the query, and applies the evaluation cadence.
-  void Admit(QueryId id);
+  /// Shared admission path of the Submit entry points: places query
+  /// `index` of `*src` under the next id, counts the submission, and —
+  /// when `cadence` — applies the per-arrival evaluation.  Returns the
+  /// id.
+  QueryId Admit(QuerySet* src, QueryId index, bool cadence);
+
+  /// Moves query `index` of `*src` into a new slot under `id` and
+  /// indexes it; no submission count, no evaluation.  Shared by Admit
+  /// and AdoptPending.  Returns the slot.
+  QueryId Place(QuerySet* src, QueryId index, QueryId id);
 
   /// The indexing half of admission (pending flag, incremental graph,
-  /// component union, dirty mark) — shared by Admit and AdoptPending,
-  /// which must not count submissions or trigger evaluation.
-  void IndexQuery(QueryId id);
+  /// component union, dirty mark) for a freshly placed slot.
+  void IndexQuery(QueryId slot);
 
   /// CHECK-fails when called from inside a solution callback;
   /// `entry_point` names the violating call in the failure message.
   void CheckNotReentrant(const char* entry_point) const;
 
-  /// Grows schedule_keys_ to cover ids [0, n) with identity keys.
-  /// Queries adopted with explicit keys are overwritten right after.
-  void EnsureScheduleKeys(size_t n) {
-    if (schedule_keys_.size() >= n) return;
-    schedule_keys_.reserve(n);
-    while (schedule_keys_.size() < n) {
-      schedule_keys_.push_back(static_cast<QueryId>(schedule_keys_.size()));
-    }
-  }
-  QueryId key_of(QueryId id) const {
-    return schedule_keys_[static_cast<size_t>(id)];
-  }
+  QueryId id_of(QueryId slot) const { return ids_[static_cast<size_t>(slot)]; }
 
-  /// Union-find over engine ids (weak connectivity of pending queries).
+  /// Union-find over admission slots (weak connectivity of pending
+  /// queries).
   QueryId FindRoot(QueryId q) const;
   void UnionComps(QueryId a, QueryId b);
 
@@ -583,11 +592,11 @@ class CoordinationEngine : public CoordinationService {
 
   /// The persistent state of `root`'s component, built on first use.
   ComponentState* EnsureComponentState(QueryId root);
-  /// Appends arrival `id` — which must carry the largest schedule key
-  /// in its component — to `root`'s persistent subset/edges, if a state
-  /// exists (no-op otherwise; the state is lazily built at the next
-  /// evaluation).  An id out of key order degrades to a rebuild.
-  void ExtendComponentState(QueryId root, QueryId id);
+  /// Appends arrival `slot` — which must carry the largest id in its
+  /// component — to `root`'s persistent subset/edges, if a state exists
+  /// (no-op otherwise; the state is lazily built at the next
+  /// evaluation).  An arrival out of id order degrades to a rebuild.
+  void ExtendComponentState(QueryId root, QueryId slot);
   /// Whether the stamp fingerprint proves re-evaluating `state` would
   /// reproduce its last failure (EngineStats::evaluations_avoided).
   bool CanSkipEvaluation(const ComponentState& state) const;
@@ -618,13 +627,12 @@ class CoordinationEngine : public CoordinationService {
   //
   // Producers (any thread): move their parse into a private staging
   // QuerySet per query, claim a queue ticket with one atomic op, and
-  // derive the adopted id from it (id = intake_base_ + ticket) — the
+  // derive the admitted id from it (id = intake_base_ + ticket) — the
   // ticket fixes both the FIFO position and the id, so concurrent
   // producers can never hand out ids out of arrival order.  The owner
   // thread drains at every flush/read boundary and replays the inline
-  // admission path (MoveQuery + IndexQuery + cadence), so the delivery
-  // log is byte-identical to an inline engine fed the same arrival
-  // order.
+  // admission path (Admit), so the delivery log is byte-identical to an
+  // inline engine fed the same arrival order.
   //
   // Owner-only surface: everything except Submit / SubmitParsed and
   // their non-empty batch forms must be called on the thread that
@@ -641,19 +649,21 @@ class CoordinationEngine : public CoordinationService {
   void DrainIntakeConst() const {
     const_cast<CoordinationEngine*>(this)->DrainIntake();
   }
-  /// Re-derives intake_base_ after all_ grew outside the drain path
-  /// (AdoptPending); requires producer quiescence.
+  /// Re-derives intake_base_ after next_id_ moved outside the drain
+  /// path (AdoptPending, ResumeNumbering); requires producer quiescence.
   void ResyncIntakeBase();
 
   const Database* db_;
   EngineOptions options_;
+  // Every structure below is indexed by admission slot (a query's
+  // position in all_); only ids_ and slots_ know the ids.
   QuerySet all_;
-  std::vector<bool> pending_;  // per query id in all_
-  /// Per query id: the monotone schedule key every ordering decision
-  /// (solver member order, apply heap, delivery merge key) is taken on.
-  /// Identity unless AdoptPending assigned explicit keys.
-  std::vector<QueryId> schedule_keys_;
-  size_t num_pending_ = 0;     // population count of pending_
+  std::vector<bool> pending_;  // per slot
+  /// Per slot: the query's id, on which every ordering decision (solver
+  /// member order, apply heap, delivery merge key) is taken.
+  std::vector<QueryId> ids_;
+  std::unordered_map<QueryId, QueryId> slots_;  ///< pending id -> slot
+  QueryId next_id_ = 0;  ///< the id the next Submit admits under
   size_t since_last_eval_ = 0;
   DeliveryCallback callback_;
   InternalSolutionCallback internal_callback_;
@@ -671,7 +681,7 @@ class CoordinationEngine : public CoordinationService {
   ExtendedCoordinationGraph graph_;      // over pending queries only
   mutable std::vector<QueryId> uf_parent_;
   std::vector<uint32_t> uf_size_;
-  std::vector<QueryId> comp_min_;        // at roots: smallest member key
+  std::vector<QueryId> comp_min_;        // at roots: smallest member id
   std::vector<std::vector<QueryId>> comp_members_;  // at roots
   std::unordered_set<QueryId> dirty_roots_;
   std::unique_ptr<ThreadPool> pool_;     // lazily created by FlushPool()
@@ -688,7 +698,7 @@ class CoordinationEngine : public CoordinationService {
 
   // ---- deferred admission ----
   std::unique_ptr<MpscQueue<IntakeEvent>> intake_;  // null = inline
-  std::atomic<int64_t> intake_base_{0};  // adopted id = base + ticket
+  std::atomic<int64_t> intake_base_{0};  // admitted id = base + ticket
   uint64_t intake_drained_ = 0;          // next ticket the drain adopts
   std::thread::id owner_thread_;         // constructor thread = consumer
   bool draining_ = false;                // re-entrancy guard for drains

@@ -1,7 +1,6 @@
 #include "system/sharded_engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -71,7 +70,7 @@ Result<QueryId> ShardedCoordinationEngine::SubmitParsed(
       << "SubmitParsed takes the parse of exactly one text";
   CheckNotReentrant("Submit");
   const QueryId id = next_id_++;
-  const Locator loc = RouteAndAdmit(&parsed, 0, id);
+  const size_t slot = RouteAndAdmit(&parsed, 0, id);
   ++front_stats_.submitted;
 
   if (options_.engine.evaluate_every > 0 &&
@@ -79,9 +78,9 @@ Result<QueryId> ShardedCoordinationEngine::SubmitParsed(
     since_last_eval_ = 0;
     // The §6.1 per-arrival step: evaluate exactly the arrival's
     // component, in its shard; nothing else is examined.
-    shards_[loc.shard].engine->EvaluateNow(loc.local);
-    DrainDeliveries({loc.shard});
-    MaybeGcShards({loc.shard});
+    shards_[slot].engine->EvaluateNow(id);
+    DrainDeliveries({slot});
+    MaybeGcShards({slot});
   }
   return id;
 }
@@ -107,9 +106,9 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatchParsed(
   return ids;
 }
 
-ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
-    QuerySet* staging, QueryId sid, QueryId gid) {
-  std::vector<RelationId> footprint = router_.Footprint(*staging, sid);
+size_t ShardedCoordinationEngine::RouteAndAdmit(QuerySet* staging,
+                                                QueryId index, QueryId id) {
+  std::vector<RelationId> footprint = router_.Footprint(*staging, index);
   if (footprint.empty()) {
     // No postconditions and no head atoms (unreachable through the
     // parser, which requires a head): the query can never gain a
@@ -159,15 +158,13 @@ ShardedCoordinationEngine::Locator ShardedCoordinationEngine::RouteAndAdmit(
   group_shard_[root] = slot;
   shards_[slot].group_root = root;
 
-  // The global id doubles as the schedule key: unique across shards and
-  // monotone in submission order, which is all the inner engines need
-  // to reproduce a single engine's tie-breaks.
-  const QueryId local =
-      shards_[slot].engine->AdoptPending(staging, {sid}, {gid}).front();
-  const Locator loc{slot, local};
-  pending_.emplace(gid, loc);
+  // The id is unique across shards and monotone in submission order,
+  // which is all the inner engines need to reproduce a single engine's
+  // tie-breaks.
+  shards_[slot].engine->AdoptPending(staging, index, id);
+  pending_.emplace(id, slot);
   flush_candidates_.insert(slot);
-  return loc;
+  return slot;
 }
 
 size_t ShardedCoordinationEngine::CreateShard() {
@@ -186,12 +183,11 @@ size_t ShardedCoordinationEngine::CreateShard() {
   shards_[slot].engine = std::make_unique<CoordinationEngine>(db_, inner);
   // Capture the slot index, not the Shard: shards_ may reallocate as
   // new shards are created (never during a flush).  The *internal*
-  // solution hook hands us the shard's query set and its engine-space
-  // solution; the front door materializes and translates the Delivery
-  // and fires it only after the cross-shard merge.
+  // solution hook hands us the shard's solution; the front door has it
+  // materialized and fires it only after the cross-shard merge.
   shards_[slot].engine->set_internal_solution_callback(
-      [this, slot](const QuerySet& set, const CoordinationSolution& solution) {
-        OnShardDelivery(slot, set, solution);
+      [this, slot](const CoordinationSolution& solution) {
+        OnShardDelivery(slot, solution);
       });
   ++num_live_shards_;
   ++sharded_stats_.shards_created;
@@ -203,10 +199,9 @@ size_t ShardedCoordinationEngine::MergeShards(
   // Small-into-large: the slot with the most pending queries survives
   // with its engine and memoized component state untouched; every other
   // slot is drained and bulk-adopted into it — O(sum of smaller sides)
-  // per merge, not O(union).  The survivor's local ids stop being
-  // monotone in global ids, which is fine: the schedule keys adopted
-  // alongside each query carry the global order, and the inner engine
-  // breaks every tie on keys.
+  // per merge, not O(union).  The survivor's admission slots stop being
+  // monotone in ids, which is fine: the inner engine breaks every tie
+  // on ids.
   ++sharded_stats_.merge_events;
   size_t survivor = slots.front();
   for (size_t s : slots) {
@@ -235,16 +230,9 @@ size_t ShardedCoordinationEngine::MergeShards(
 
 uint64_t ShardedCoordinationEngine::AdoptExtractIntoShard(
     size_t into_slot, CoordinationEngine::PendingExtract* extract) {
-  std::vector<QueryId> dense(extract->queries.size());
-  std::iota(dense.begin(), dense.end(), QueryId{0});
-  const std::vector<QueryId> locals =
-      shards_[into_slot].engine->AdoptPending(&extract->queries, dense,
-                                              extract->keys);
-  for (size_t j = 0; j < locals.size(); ++j) {
-    // The extract's keys are this front door's global ids.
-    pending_.at(extract->keys[j]) = Locator{into_slot, locals[j]};
-  }
-  return static_cast<uint64_t>(locals.size());
+  shards_[into_slot].engine->AdoptPending(extract);
+  for (QueryId id : extract->ids) pending_.at(id) = into_slot;
+  return static_cast<uint64_t>(extract->ids.size());
 }
 
 void ShardedCoordinationEngine::RetireShard(size_t slot, bool absorbed) {
@@ -271,14 +259,14 @@ bool ShardedCoordinationEngine::Cancel(QueryId id) {
   CheckNotReentrant("Cancel");
   auto it = pending_.find(id);
   if (it == pending_.end()) return false;
-  const Locator loc = it->second;
-  const bool cancelled = shards_[loc.shard].engine->Cancel(loc.local);
+  const size_t slot = it->second;
+  const bool cancelled = shards_[slot].engine->Cancel(id);
   ENTANGLED_CHECK(cancelled) << "shard disagreed about pending query " << id;
   pending_.erase(it);
   // Shrinking a component can make it coordinable; the shard now holds
   // dirty fragments.
-  flush_candidates_.insert(loc.shard);
-  MaybeGcShards({loc.shard});
+  flush_candidates_.insert(slot);
+  MaybeGcShards({slot});
   return true;
 }
 
@@ -289,7 +277,7 @@ bool ShardedCoordinationEngine::IsPending(QueryId id) const {
 std::vector<QueryId> ShardedCoordinationEngine::PendingQueries() const {
   std::vector<QueryId> pending;
   pending.reserve(pending_.size());
-  for (const auto& [gid, loc] : pending_) pending.push_back(gid);
+  for (const auto& [id, slot] : pending_) pending.push_back(id);
   std::sort(pending.begin(), pending.end());
   return pending;
 }
@@ -298,19 +286,13 @@ std::vector<QueryId> ShardedCoordinationEngine::ComponentOf(
     QueryId id) const {
   auto it = pending_.find(id);
   if (it == pending_.end()) return {};
-  const CoordinationEngine& engine = *shards_[it->second.shard].engine;
-  std::vector<QueryId> component = engine.ComponentOf(it->second.local);
-  for (QueryId& q : component) q = engine.key_of(q);
-  // Local ids need not be monotone in global ids after a merge, so sort
-  // to restore the ascending order ComponentOf promises.
-  std::sort(component.begin(), component.end());
-  return component;
+  return shards_[it->second].engine->ComponentOf(id);
 }
 
 bool ShardedCoordinationEngine::SameShard(QueryId a, QueryId b) const {
   ENTANGLED_CHECK(IsPending(a)) << "query " << a << " is not pending";
   ENTANGLED_CHECK(IsPending(b)) << "query " << b << " is not pending";
-  return pending_.at(a).shard == pending_.at(b).shard;
+  return pending_.at(a) == pending_.at(b);
 }
 
 EngineStats ShardedCoordinationEngine::StatsSnapshot() const {
@@ -349,32 +331,22 @@ ServiceGauges ShardedCoordinationEngine::GaugesSnapshot() const {
 // ---------------------------------------------------------------------------
 
 void ShardedCoordinationEngine::OnShardDelivery(
-    size_t slot, const QuerySet& set, const CoordinationSolution& solution) {
+    size_t slot, const CoordinationSolution& solution) {
   // Runs on whichever thread is flushing this shard; touches only the
   // shard's own engine and buffer, so concurrent shard flushes never
   // share state.
   Shard& shard = shards_[slot];
-  const CoordinationEngine& engine = *shard.engine;
   BufferedDelivery buffered;
-  // The inner engine's schedule keys ARE this front door's global ids,
-  // so the merge key and every participant's global id are key reads.
-  buffered.key = engine.last_delivery_schedule_key();
-  if (callback_) {
-    // Materialize only when somebody listens, as a single engine does.
-    buffered.delivery = MakeDelivery(set, solution, /*sequence=*/0);
-  } else {
-    for (QueryId local : solution.queries) {
-      buffered.delivery.queries.emplace_back().id = local;
-    }
-  }
-  TranslateDelivery([&engine](QueryId local) { return engine.key_of(local); },
-                    &buffered.delivery);
+  buffered.key = shard.engine->last_delivery_schedule_key();
+  // Materialize only when somebody listens, as a single engine does.
+  buffered.delivery = shard.engine->MakeIdDelivery(
+      solution, /*sequence=*/0, /*materialize=*/callback_ != nullptr);
   shard.deliveries.push_back(std::move(buffered));
 }
 
 size_t ShardedCoordinationEngine::DrainDeliveries(
     const std::vector<size_t>& slots) {
-  // Merge-by-smallest-global-id: every shard's buffer is already in
+  // Merge-by-smallest-id: every shard's buffer is already in
   // nondecreasing key order (inner flushes apply deliveries that way),
   // keys collide only within one shard (a fragment reusing its parent
   // component's smallest id), and the gather preserves buffer order —
@@ -407,6 +379,14 @@ size_t ShardedCoordinationEngine::DrainDeliveries(
     }
   }
   return merged.size();
+}
+
+void ShardedCoordinationEngine::ResumeNumbering(QueryId next_id,
+                                                uint64_t next_sequence) {
+  CheckNotReentrant("ResumeNumbering");
+  ENTANGLED_CHECK_GE(next_id, next_id_) << "ids only move forward";
+  next_id_ = next_id;
+  next_delivery_sequence_ = next_sequence;
 }
 
 size_t ShardedCoordinationEngine::Flush() {

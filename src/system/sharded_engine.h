@@ -62,13 +62,13 @@ struct ShardedStats {
 /// only the *smaller* shards' pending queries **migrate** into the
 /// largest survivor (CoordinationEngine::ExtractPending plus one bulk
 /// AdoptPending per source) — O(smaller side) per merge, not O(union).
-/// Every query carries its global id as an explicit **schedule key**,
-/// and the inner engines order all solver input, apply-heap, and
-/// delivery-key decisions on keys rather than shard-local ids; the
-/// survivor's local-id order therefore no longer needs to stay monotone
-/// in global order, its memoized component state survives the merge
-/// untouched, and the solver's discovery-order
-/// tie-breaks still see members in exact global submission order.
+/// Every query lives in its shard under its one id, and the inner
+/// engines order all solver input, apply-heap, and delivery-key
+/// decisions on ids rather than their private admission slots; the
+/// survivor's slot order therefore need not stay monotone in id order,
+/// its memoized component state survives the merge untouched, and the
+/// solver's discovery-order tie-breaks still see members in exact
+/// submission order.
 ///
 /// Determinism contract (enforced by the stress harness): for any event
 /// stream, the delivery log, witnesses, and pending set are
@@ -76,28 +76,27 @@ struct ShardedStats {
 /// width.  Cross-shard delivery order is reconstructed by merging the
 /// shards' delivery streams on the component schedule key
 /// (CoordinationEngine::last_delivery_schedule_key), i.e.
-/// merge-by-smallest-global-id.
+/// merge-by-smallest-id.
 ///
 /// Each query is stored once, in the shard that owns it: SubmitParsed
 /// routes the caller's parse by its footprint and moves it into the
-/// shard under the next global id (its schedule key); Submit parses the
-/// text first.  The front door keeps only a locator per *pending* query.
-/// Deliveries are materialized from the shard's own query set on
-/// whichever thread flushes the shard and rewritten to global ids
-/// (TranslateDelivery, api/delivery.h); each participant's witness is
+/// shard under the next id; Submit parses the text first.  Shards
+/// answer in those same ids, so the front door keeps only the shard of
+/// each *pending* query and rewrites no id on the way in or out.
+/// Deliveries are materialized in ids by the shard's engine on
+/// whichever thread flushes the shard; each participant's witness is
 /// keyed by its own variables' positions, so no variable map exists.
 ///
 /// The public API is single-threaded, like CoordinationEngine's;
-/// callbacks always fire on the calling thread with global ids.
+/// callbacks always fire on the calling thread.
 class ShardedCoordinationEngine : public CoordinationService {
  public:
   ShardedCoordinationEngine(const Database* db,
                             ShardedEngineOptions options = {});
 
   /// Callbacks must not re-enter the front door (same contract as
-  /// CoordinationEngine::set_delivery_callback); delivered ids are
-  /// global, and the Delivery is fully owned — it survives any later
-  /// Cancel/Flush/shard migration.
+  /// CoordinationEngine::set_delivery_callback); the Delivery is fully
+  /// owned — it survives any later Cancel/Flush/shard migration.
   void set_delivery_callback(DeliveryCallback callback) override {
     callback_ = std::move(callback);
   }
@@ -109,6 +108,10 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// Recovery hook: pins the front door's per-arrival phase (no intake
   /// to drain here — admission is always inline at the front door).
   void RestoreCadencePhase(size_t phase) override { since_last_eval_ = phase; }
+
+  /// Recovery hook: the next admission takes id `next_id`, the next
+  /// merged delivery sequence `next_sequence`.
+  void ResumeNumbering(QueryId next_id, uint64_t next_sequence) override;
 
   /// The text entry points parse, then admit as the parsed ones do.
   Result<QueryId> Submit(const std::string& query_text) override;
@@ -152,16 +155,10 @@ class ShardedCoordinationEngine : public CoordinationService {
   bool SameShard(QueryId a, QueryId b) const;
 
  private:
-  /// Where a pending query lives: shard slot + shard-local id.
-  struct Locator {
-    size_t shard = 0;
-    QueryId local = -1;
-  };
-
-  /// One delivery buffered during a shard flush, already in global ids,
-  /// keyed for the cross-shard merge.
+  /// One delivery buffered during a shard flush, keyed for the
+  /// cross-shard merge.
   struct BufferedDelivery {
-    QueryId key = -1;  ///< global schedule key (component smallest id)
+    QueryId key = -1;  ///< schedule key (component smallest id)
     /// Fully materialized when a delivery callback is set; otherwise
     /// only the participant ids are filled in.
     Delivery delivery;
@@ -178,12 +175,12 @@ class ShardedCoordinationEngine : public CoordinationService {
 
   void CheckNotReentrant(const char* entry_point) const;
 
-  /// Routes query `sid` of a freshly parsed `*staging` set as global
-  /// query `gid`: computes its footprint, unites the touched relation
-  /// groups (merging shards when the footprint bridges several), moves
-  /// the query into the owning shard keyed by `gid`, and marks it
-  /// pending.  No evaluation.  Returns where the query landed.
-  Locator RouteAndAdmit(QuerySet* staging, QueryId sid, QueryId gid);
+  /// Routes query `index` of a freshly parsed `*staging` set as query
+  /// `id`: computes its footprint, unites the touched relation groups
+  /// (merging shards when the footprint bridges several), moves the
+  /// query into the owning shard under `id`, and marks it pending.  No
+  /// evaluation.  Returns the shard slot the query landed in.
+  size_t RouteAndAdmit(QuerySet* staging, QueryId index, QueryId id);
 
   /// Fresh inner engine wired to this front door; returns its slot.
   size_t CreateShard();
@@ -197,8 +194,8 @@ class ShardedCoordinationEngine : public CoordinationService {
   size_t MergeShards(const std::vector<size_t>& slots);
 
   /// Moves one source extract into `into_slot`'s engine (single bulk
-  /// AdoptPending, keyed by the extract's global ids) and rewires the
-  /// locators.  Returns the number of queries moved.
+  /// AdoptPending under the extract's ids) and repoints those pending
+  /// queries at it.  Returns the number of queries moved.
   uint64_t AdoptExtractIntoShard(
       size_t into_slot, CoordinationEngine::PendingExtract* extract);
 
@@ -206,10 +203,10 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// its engine.
   void RetireShard(size_t slot, bool absorbed);
 
-  /// Shard-callback target: materialize one delivery from the shard's
-  /// query set `set`, translate it to global space, and buffer it.
-  void OnShardDelivery(size_t slot, const QuerySet& set,
-                       const CoordinationSolution& solution);
+  /// Shard-callback target: has the shard's engine materialize one
+  /// delivery in ids (fully only when a callback listens) and buffers
+  /// it.
+  void OnShardDelivery(size_t slot, const CoordinationSolution& solution);
 
   /// Merges the named slots' buffered deliveries by schedule key,
   /// updates the global pending set, and fires the outer callback per
@@ -225,10 +222,10 @@ class ShardedCoordinationEngine : public CoordinationService {
   const Database* db_;
   ShardedEngineOptions options_;
 
-  /// Next global query id: a single engine over the same stream would
-  /// allocate exactly this one.
+  /// Next query id: a single engine over the same stream would allocate
+  /// exactly this one.
   QueryId next_id_ = 0;
-  std::unordered_map<QueryId, Locator> pending_;  ///< pending gid -> shard
+  std::unordered_map<QueryId, size_t> pending_;  ///< pending id -> shard
   size_t since_last_eval_ = 0;
 
   RelationRouter router_;

@@ -10,7 +10,8 @@
 //    the text entry points (the parsed ones fall back to them) sits
 //    above and below the durable decorator; the stack must deliver
 //    exactly what the undecorated stack delivers, also across a crash
-//    and Recover.
+//    and Recover.  One that does not forward ResumeNumbering stops
+//    Recover with a message naming the hook.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -67,7 +68,8 @@ class TempDir {
 /// points of admission, like a tracing decorator written before the
 /// parsed ones existed: SubmitParsed and SubmitBatchParsed take the
 /// base-class defaults, which drop the parse and call Submit /
-/// SubmitBatch here.
+/// SubmitBatch here.  It forwards the recovery hook ResumeNumbering,
+/// which has no usable default.
 class TextOnlyShim : public CoordinationService {
  public:
   explicit TextOnlyShim(CoordinationService* inner) : inner_(inner) {}
@@ -106,6 +108,9 @@ class TextOnlyShim : public CoordinationService {
   void RestoreCadencePhase(size_t phase) override {
     inner_->RestoreCadencePhase(phase);
   }
+  void ResumeNumbering(QueryId next_id, uint64_t next_sequence) override {
+    inner_->ResumeNumbering(next_id, next_sequence);
+  }
   void set_session_tag(int64_t tag) override { inner_->set_session_tag(tag); }
   void AppendCounters(std::vector<std::pair<std::string, uint64_t>>* counters)
       const override {
@@ -117,6 +122,16 @@ class TextOnlyShim : public CoordinationService {
  private:
   CoordinationService* inner_;
   uint64_t text_calls_ = 0;
+};
+
+/// A pass-through decorator written before ResumeNumbering existed: it
+/// takes the base-class default.
+class PreResumeShim : public TextOnlyShim {
+ public:
+  using TextOnlyShim::TextOnlyShim;
+  void ResumeNumbering(QueryId next_id, uint64_t next_sequence) override {
+    CoordinationService::ResumeNumbering(next_id, next_sequence);
+  }
 };
 
 GeneratorOptions StreamOptions(uint64_t seed) {
@@ -396,6 +411,34 @@ TEST(ParsedAdmissionTest, TextOnlyDecoratorsSeeEverySubmission) {
   // The session, the durable decorator and the engine each parse: the
   // default forwarding trades the saving for compatibility.
   EXPECT_EQ(ParseCount() - before, 3 * texts);
+}
+
+// Recover through a decorator that does not forward ResumeNumbering
+// stops at the hook, by name, instead of resubmitting the recovered
+// queries under ids the log never issued.
+TEST(ParsedAdmissionDeathTest, RecoverStopsAtANonForwardingDecorator) {
+  const WorkloadGenerator generator(StreamOptions(5));
+  const std::vector<WorkloadEvent> events = generator.Generate().events;
+  TempDir dir;
+  {
+    Stack stack;
+    ASSERT_TRUE(generator.BuildDatabase(&stack.db).ok());
+    stack.Wire(dir.path(), /*shims=*/false, nullptr);
+    Replay(&stack, events, 0, events.size());
+  }
+  auto state = ReadDurableState(dir.path());
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  Database db;
+  ASSERT_TRUE(BuildDatabaseFromSnapshot(state->snapshot, &db).ok());
+  ShardedCoordinationEngine engine(&db);
+  PreResumeShim shim(&engine);
+  DurabilityOptions durability;
+  durability.dir = dir.path();
+  durability.fsync = FsyncPolicy::kNone;
+  auto durable = DurableCoordinationService::Create(&shim, &db, durability);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  EXPECT_DEATH((void)(*durable)->Recover(std::move(*state), nullptr),
+               "ResumeNumbering");
 }
 
 }  // namespace

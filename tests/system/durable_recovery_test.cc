@@ -1,13 +1,15 @@
 // Kill-and-rehydrate through the session front door (the full
 // production stack: SessionManager over DurableCoordinationService
-// over a single or sharded engine).  A scripted two-session scenario is
-// crashed at every step boundary; the rehydrated stack must resume —
+// over a single engine, inline or through its intake, or the sharded
+// one).  A scripted two-session scenario is crashed at every step
+// boundary; the rehydrated stack must resume —
 // same session ownership, same pending sets, delivery sequences
 // *resumed* rather than restarted — and the concatenated per-session
 // event streams must be byte-identical to an uninterrupted oracle run.
 // A second recovery of the already-recovered directory must read back
 // clean (double-recovery idempotence).  A directly driven service
-// checks every kind of id translation a recovery leaves behind.
+// checks that after a recovery the inner service answers every kind of
+// id exactly as the decorator does: one id namespace, no translation.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -63,9 +65,12 @@ void FillFacts(Database* db) {
   flights->Insert({Value::Int(102), Value::Str("Geneva")});
 }
 
+/// The inner services the durable decorator is tested over.
+enum class Backend { kIncremental, kIntake, kSharded };
+
 std::unique_ptr<CoordinationService> MakeInner(const Database* db,
-                                               bool sharded) {
-  if (sharded) {
+                                               Backend backend) {
+  if (backend == Backend::kSharded) {
     ShardedEngineOptions options;
     options.engine.evaluate_every = 1;
     options.shard_threads = 2;
@@ -73,6 +78,7 @@ std::unique_ptr<CoordinationService> MakeInner(const Database* db,
   }
   EngineOptions options;
   options.evaluate_every = 1;
+  if (backend == Backend::kIntake) options.intake_capacity = 8;
   return std::make_unique<CoordinationEngine>(db, options);
 }
 
@@ -94,9 +100,9 @@ struct Stack {
 };
 
 /// Oracle (no durability) or fresh durable stack over an empty dir.
-void BuildFresh(Stack* stack, bool sharded, const std::string& dir) {
+void BuildFresh(Stack* stack, Backend backend, const std::string& dir) {
   FillFacts(&stack->db);
-  stack->inner = MakeInner(&stack->db, sharded);
+  stack->inner = MakeInner(&stack->db, backend);
   if (!dir.empty()) {
     DurabilityOptions durability;
     durability.dir = dir;
@@ -118,12 +124,12 @@ void BuildFresh(Stack* stack, bool sharded, const std::string& dir) {
 /// snapshot, rebuild the engine over them, re-wire the decorator and
 /// manager, reopen both sessions (ids 0 and 1, matching the recorded
 /// tags), then Recover.
-void BuildRecovered(Stack* stack, bool sharded, const std::string& dir) {
+void BuildRecovered(Stack* stack, Backend backend, const std::string& dir) {
   auto state = ReadDurableState(dir);
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   ASSERT_TRUE(
       BuildDatabaseFromSnapshot(state->snapshot, &stack->db).ok());
-  stack->inner = MakeInner(&stack->db, sharded);
+  stack->inner = MakeInner(&stack->db, backend);
   DurabilityOptions durability;
   durability.dir = dir;
   durability.fsync = FsyncPolicy::kNone;
@@ -158,6 +164,10 @@ struct Seen {
 };
 
 void DrainInto(Stack* stack, std::vector<Seen>* out) {
+  // Settle deferred admission first (a no-op inline), so every step
+  // boundary — where the scenario polls, and where it may crash — sees
+  // the step's deliveries whatever the backend.
+  (void)stack->front()->num_pending();
   for (ClientSession* session : {stack->a, stack->b}) {
     for (const SessionEvent& event : session->PollEvents()) {
       Seen one;
@@ -228,9 +238,9 @@ void FinishRun(Stack* stack, RunResult* out) {
   out->pending_b = stack->b->PendingQueries();
 }
 
-void RunOracle(bool sharded, RunResult* out) {
+void RunOracle(Backend backend, RunResult* out) {
   Stack stack;
-  BuildFresh(&stack, sharded, "");
+  BuildFresh(&stack, backend, "");
   if (::testing::Test::HasFatalFailure()) return;
   for (size_t step = 0; step < kSteps; ++step) {
     RunStep(step, &stack);
@@ -240,11 +250,11 @@ void RunOracle(bool sharded, RunResult* out) {
   FinishRun(&stack, out);
 }
 
-void RunWithCrash(bool sharded, size_t crash_step, const std::string& dir,
+void RunWithCrash(Backend backend, size_t crash_step, const std::string& dir,
                   RunResult* out) {
   {
     Stack stack;
-    BuildFresh(&stack, sharded, dir);
+    BuildFresh(&stack, backend, dir);
     if (::testing::Test::HasFatalFailure()) return;
     for (size_t step = 0; step < crash_step; ++step) {
       RunStep(step, &stack);
@@ -254,7 +264,7 @@ void RunWithCrash(bool sharded, size_t crash_step, const std::string& dir,
     // Crash: destructors only — no rotation, no clean shutdown.
   }
   Stack stack;
-  BuildRecovered(&stack, sharded, dir);
+  BuildRecovered(&stack, backend, dir);
   if (::testing::Test::HasFatalFailure()) return;
   for (size_t step = crash_step; step < kSteps; ++step) {
     RunStep(step, &stack);
@@ -283,18 +293,18 @@ void ExpectRunsEqual(const RunResult& oracle, const RunResult& crashed,
       << "crash_step=" << crash_step;
 }
 
-class DurableRecoveryTest : public ::testing::TestWithParam<bool> {};
+class DurableRecoveryTest : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(DurableRecoveryTest, CrashAtEveryStepBoundaryMatchesTheOracle) {
-  const bool sharded = GetParam();
+  const Backend backend = GetParam();
   RunResult oracle;
-  RunOracle(sharded, &oracle);
+  RunOracle(backend, &oracle);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   ASSERT_FALSE(oracle.events.empty());
   for (size_t crash_step = 0; crash_step <= kSteps; ++crash_step) {
     TempDir dir;
     RunResult crashed;
-    RunWithCrash(sharded, crash_step, dir.path(), &crashed);
+    RunWithCrash(backend, crash_step, dir.path(), &crashed);
     ASSERT_FALSE(::testing::Test::HasFatalFailure())
         << "crash_step=" << crash_step;
     ExpectRunsEqual(oracle, crashed, crash_step);
@@ -302,12 +312,12 @@ TEST_P(DurableRecoveryTest, CrashAtEveryStepBoundaryMatchesTheOracle) {
 }
 
 TEST_P(DurableRecoveryTest, SequencesResumeAcrossTheCrash) {
-  const bool sharded = GetParam();
+  const Backend backend = GetParam();
   TempDir dir;
   RunResult crashed;
   // Crash between the two deliveries: sequence 0 fires pre-crash,
   // sequence 1 post-recovery — a restart would hand out 0 again.
-  RunWithCrash(sharded, 4, dir.path(), &crashed);
+  RunWithCrash(backend, 4, dir.path(), &crashed);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   std::vector<uint64_t> sequences;
   for (const Seen& seen : crashed.events) {
@@ -319,10 +329,10 @@ TEST_P(DurableRecoveryTest, SequencesResumeAcrossTheCrash) {
 }
 
 TEST_P(DurableRecoveryTest, DoubleRecoveryIsIdempotent) {
-  const bool sharded = GetParam();
+  const Backend backend = GetParam();
   TempDir dir;
   RunResult crashed;
-  RunWithCrash(sharded, 5, dir.path(), &crashed);
+  RunWithCrash(backend, 5, dir.path(), &crashed);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
 
   // The run above ended with a live recovered service that was itself
@@ -331,7 +341,7 @@ TEST_P(DurableRecoveryTest, DoubleRecoveryIsIdempotent) {
   // and a clean report.
   for (int pass = 0; pass < 2; ++pass) {
     Stack stack;
-    BuildRecovered(&stack, sharded, dir.path());
+    BuildRecovered(&stack, backend, dir.path());
     ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "pass " << pass;
     const RecoveryReport& report = stack.durable->recovery_report();
     EXPECT_FALSE(report.torn_tail) << "pass " << pass;
@@ -359,7 +369,7 @@ struct DirectStack {
   std::unique_ptr<DurableCoordinationService> durable;
 };
 
-void OpenDirect(DirectStack* stack, bool sharded, const std::string& dir,
+void OpenDirect(DirectStack* stack, Backend backend, const std::string& dir,
                 bool recover, std::vector<Delivery>* log) {
   DurableState state;
   if (recover) {
@@ -370,7 +380,7 @@ void OpenDirect(DirectStack* stack, bool sharded, const std::string& dir,
   } else {
     FillFacts(&stack->db);
   }
-  stack->inner = MakeInner(&stack->db, sharded);
+  stack->inner = MakeInner(&stack->db, backend);
   DurabilityOptions durability;
   durability.dir = dir;
   durability.fsync = FsyncPolicy::kNone;
@@ -388,26 +398,39 @@ void OpenDirect(DirectStack* stack, bool sharded, const std::string& dir,
   }
 }
 
-void ExpectUnknown(DurableCoordinationService* service, QueryId id) {
+/// Every read of query `id` gets the same answer from the inner
+/// service as from the durable decorator: they share one id namespace.
+void ExpectOneNamespace(DirectStack* stack, QueryId id) {
+  const CoordinationService& inner = *stack->inner;
+  const DurableCoordinationService& durable = *stack->durable;
+  EXPECT_EQ(inner.PendingQueries(), durable.PendingQueries()) << id;
+  EXPECT_EQ(inner.IsPending(id), durable.IsPending(id)) << id;
+  EXPECT_EQ(inner.ComponentOf(id), durable.ComponentOf(id)) << id;
+}
+
+void ExpectUnknown(DirectStack* stack, QueryId id) {
+  ExpectOneNamespace(stack, id);
+  DurableCoordinationService* service = stack->durable.get();
   EXPECT_FALSE(service->IsPending(id)) << id;
   EXPECT_TRUE(service->ComponentOf(id).empty()) << id;
   EXPECT_FALSE(service->Cancel(id)) << id;
 }
 
-/// After a Recover() durable ids reach the inner service three ways:
-/// the recovered prefix (snapshot-pending queries, looked up), later
-/// admissions (one offset away), and ids this process never admitted.
-/// Cancel, IsPending and ComponentOf are called on each kind, then the
+/// After a Recover() the inner service answers in durable ids for all
+/// three kinds of id: snapshot-pending queries (resubmitted under
+/// their own ids), later admissions, and ids this process never
+/// admitted.  Cancel, IsPending and ComponentOf are called on each
+/// kind, through the decorator and on the inner service, then the
 /// service crashes and recovers again, and the whole delivery stream —
 /// ids, names, texts, answers, witnesses — must equal an uninterrupted
 /// run's.
-TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
-  const bool sharded = GetParam();
-  auto run = [sharded](const std::string& dir, bool crash,
+TEST_P(DurableRecoveryTest, InnerServiceAnswersInDurableIdsAfterRecovery) {
+  const Backend backend = GetParam();
+  auto run = [backend](const std::string& dir, bool crash,
                        std::vector<Delivery>* log,
                        std::vector<QueryId>* pending) {
     auto stack = std::make_unique<DirectStack>();
-    OpenDirect(stack.get(), sharded, dir, /*recover=*/false, log);
+    OpenDirect(stack.get(), backend, dir, /*recover=*/false, log);
     if (::testing::Test::HasFatalFailure()) return;
     for (const char* text :
          {"p0: { R(B, x) } R(A, x) :- Flights(x, Zurich).",
@@ -425,18 +448,19 @@ TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
                     .ok());
     if (crash) {
       stack = std::make_unique<DirectStack>();
-      OpenDirect(stack.get(), sharded, dir, /*recover=*/true, log);
+      OpenDirect(stack.get(), backend, dir, /*recover=*/true, log);
       if (::testing::Test::HasFatalFailure()) return;
     }
     DurableCoordinationService* service = stack->durable.get();
-    // (a) a recovered pending id.
+    // (a) recovered pending ids.
+    for (QueryId id : {0, 1, 4, 5}) ExpectOneNamespace(stack.get(), id);
     EXPECT_TRUE(service->IsPending(1));
     EXPECT_EQ(service->ComponentOf(1), (std::vector<QueryId>{1}));
     EXPECT_TRUE(service->Cancel(1));
-    ExpectUnknown(service, 1);
+    ExpectUnknown(stack.get(), 1);
     // (b) ids delivered before the snapshot.
-    ExpectUnknown(service, 2);
-    ExpectUnknown(service, 3);
+    ExpectUnknown(stack.get(), 2);
+    ExpectUnknown(stack.get(), 3);
     // (c) ids admitted after recovery, one joining a recovered query.
     auto joined = service->Submit(
         "j6: { R(T, q) } R(W, q) :- Flights(q, Geneva).");
@@ -445,30 +469,37 @@ TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
     EXPECT_TRUE(service->IsPending(6));
     EXPECT_EQ(service->ComponentOf(6), (std::vector<QueryId>{4, 6}));
     EXPECT_EQ(service->ComponentOf(4), (std::vector<QueryId>{4, 6}));
+    ExpectOneNamespace(stack.get(), 6);
+    ExpectOneNamespace(stack.get(), 4);
     auto doomed = service->Submit(
         "c7: { R(Nobody, k) } R(X, k) :- Flights(k, Zurich).");
     ASSERT_TRUE(doomed.ok());
     EXPECT_EQ(*doomed, 7);
+    ExpectOneNamespace(stack.get(), 7);
     EXPECT_TRUE(service->Cancel(7));
-    ExpectUnknown(service, 7);
+    ExpectUnknown(stack.get(), 7);
     // (d) ids never assigned.
-    ExpectUnknown(service, 8);
-    ExpectUnknown(service, 99);
-    ExpectUnknown(service, -1);
+    ExpectUnknown(stack.get(), 8);
+    ExpectUnknown(stack.get(), 99);
+    ExpectUnknown(stack.get(), -1);
     // Delivers {0, 8}: a recovered query with a post-recovery one.
     ASSERT_TRUE(
         service->Submit("p8: { } R(B, y) :- Flights(y, Zurich).").ok());
+    ExpectUnknown(stack.get(), 0);
     if (crash) {
       stack = std::make_unique<DirectStack>();
-      OpenDirect(stack.get(), sharded, dir, /*recover=*/true, log);
+      OpenDirect(stack.get(), backend, dir, /*recover=*/true, log);
       if (::testing::Test::HasFatalFailure()) return;
       service = stack->durable.get();
     }
-    ExpectUnknown(service, 1);
+    ExpectUnknown(stack.get(), 1);
     EXPECT_EQ(service->ComponentOf(6), (std::vector<QueryId>{4, 6}));
+    ExpectOneNamespace(stack.get(), 6);
+    ExpectOneNamespace(stack.get(), 5);
     // Coordinates with s5, recovered twice over.
     ASSERT_TRUE(
         service->Submit("p9: { } R(Ghost, g) :- Flights(g, Zurich).").ok());
+    ExpectUnknown(stack.get(), 5);
     *pending = service->PendingQueries();
   };
 
@@ -503,11 +534,21 @@ TEST_P(DurableRecoveryTest, TranslationEdgesAfterRecovery) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, DurableRecoveryTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Sharded" : "Incremental";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DurableRecoveryTest,
+    ::testing::Values(Backend::kIncremental, Backend::kIntake,
+                      Backend::kSharded),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      switch (info.param) {
+        case Backend::kIncremental:
+          return "Incremental";
+        case Backend::kIntake:
+          return "Intake";
+        case Backend::kSharded:
+          return "Sharded";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace entangled

@@ -141,12 +141,12 @@ TEST_F(EngineDeltaTest, MigrationDropsMemoizedState) {
   EXPECT_EQ(source.stats().evaluations, 1u);
 
   CoordinationEngine::PendingExtract extract = source.ExtractPending();
-  ASSERT_EQ(extract.keys, (std::vector<QueryId>{0}));
+  ASSERT_EQ(extract.ids, (std::vector<QueryId>{0}));
 
   CoordinationEngine target(&db_, FlushOnly());
   std::vector<LoggedDelivery> log;
   LogDeliveries(&target, &log);
-  target.AdoptPending(&extract.queries, {0}, extract.keys);
+  target.AdoptPending(&extract);
   ASSERT_TRUE(
       target.Submit("b: { U(A, y) } U(B, y) :- Users(y, 'user1').").ok());
   EXPECT_EQ(target.Flush(), 1u);

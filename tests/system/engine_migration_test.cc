@@ -86,7 +86,7 @@ TEST_F(EngineMigrationTest, ExtractAdoptRoundTripPreservesCoordination) {
   ASSERT_EQ(source.num_pending(), 3u);
 
   CoordinationEngine::PendingExtract extract = source.ExtractPending();
-  EXPECT_EQ(extract.keys, (std::vector<QueryId>{0, 1, 2}));
+  EXPECT_EQ(extract.ids, (std::vector<QueryId>{0, 1, 2}));
   EXPECT_EQ(extract.queries.size(), 3u);
   // The source forgot them completely.
   EXPECT_EQ(source.num_pending(), 0u);
@@ -94,9 +94,8 @@ TEST_F(EngineMigrationTest, ExtractAdoptRoundTripPreservesCoordination) {
   EXPECT_EQ(source.Flush(), 0u);
 
   CoordinationEngine target(&db_, options);
-  std::vector<QueryId> adopted =
-      target.AdoptPending(&extract.queries, {0, 1, 2}, extract.keys);
-  EXPECT_EQ(adopted, (std::vector<QueryId>{0, 1, 2}));
+  target.AdoptPending(&extract);
+  EXPECT_EQ(target.PendingQueries(), (std::vector<QueryId>{0, 1, 2}));
   EXPECT_EQ(target.num_pending(), 3u);
   // Adoption is not a submission...
   EXPECT_EQ(target.stats().submitted, 0u);

@@ -211,7 +211,7 @@ TEST_F(ShardedRoutingTest, GlobalIdsAreStableAcrossMigration) {
   QueryId c = MustSubmit(Query("qc", "C", "Tc"));
   QueryId bridge = MustSubmit(Query("qbr", "D", "Td",
                                     "A(Ta, x), B(Tb, x), C(Tc, x)"));
-  // Migration renumbers shard-local ids but never the global ones.
+  // Migration moves queries between shards but never changes an id.
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 1);
   EXPECT_EQ(c, 2);

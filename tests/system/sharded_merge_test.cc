@@ -3,7 +3,7 @@
 // whose global ids interleave across shards — held byte-identical to a
 // single CoordinationEngine — plus memoized component state surviving
 // a merge in the surviving shard (eval_cache_hits), survivor deliveries
-// translated whole into global ids and variables, and
+// carrying the migrated queries' own ids and variables, and
 // bridge-then-cancel churn that recycles freed shard slots.
 
 #include <algorithm>

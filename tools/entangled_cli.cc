@@ -380,8 +380,9 @@ bool PrepareRecordingDir(const std::string& dir) {
 }
 
 /// Wraps `inner` in the write-ahead-logging decorator recording to
-/// `dir` (fresh genesis, so durable ids coincide with inner ids and
-/// Definition-1 validation against the inner master set still holds).
+/// `dir` (fresh genesis: the inner engine admits only through Submit,
+/// so its slots equal the ids and Definition-1 validation against its
+/// master set still holds).
 bool WrapWithRecorder(
     CoordinationService* inner, const Database& db, const std::string& dir,
     size_t evaluate_every,

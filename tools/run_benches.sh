@@ -135,24 +135,29 @@ fi
 # ---------------------------------------------------------------------------
 # Durability counters: a --record run must surface the wal.*/snapshot.*
 # counters in the metrics snapshot, and replaying the recorded
-# directory must surface non-zero recovery.* counters.
+# directory must surface non-zero recovery.* counters.  A second
+# replay, on the sharded engine, starts from the snapshot the first
+# one rotated into: it replays no event, resumes that snapshot's
+# pending queries under their recorded ids, and must hold as many.
 # ---------------------------------------------------------------------------
 if [[ -x "$cli" ]]; then
   echo "== entangled_cli --record/replay: durability counter schema"
   rec_root="$(mktemp -d)"
   snap_rec="$(mktemp)"
   snap_replay="$(mktemp)"
+  snap_again="$(mktemp)"
   if "$cli" metrics --seed 7 --num-queries 64 --sessions 3 \
         --record "$rec_root/wal" > "$snap_rec" \
      && "$cli" replay "$rec_root/wal" --quiet > "$snap_replay" \
-     && python3 - "$snap_rec" "$snap_replay" <<'PY'
+     && "$cli" replay "$rec_root/wal" --sharded --quiet > "$snap_again" \
+     && python3 - "$snap_rec" "$snap_replay" "$snap_again" <<'PY'
 import json, sys
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
-recorded, replayed = load(sys.argv[1]), load(sys.argv[2])
+recorded, replayed, again = (load(path) for path in sys.argv[1:4])
 keys = ("wal.appended_records", "wal.bytes", "wal.fsyncs",
         "snapshot.count", "recovery.replayed_events",
         "recovery.truncated_bytes")
@@ -170,8 +175,17 @@ pc = replayed["counters"]
 assert pc["recovery.replayed_events"] == rc["wal.appended_records"], (
     "replay re-applied %d of %d recorded events"
     % (pc["recovery.replayed_events"], rc["wal.appended_records"]))
+pending = replayed["gauges"]["pending"]
+assert pending > 0, "the replayed snapshot holds no pending query"
+ac = again["counters"]
+assert ac["recovery.replayed_events"] == 0, (
+    "second replay re-applied %d events" % ac["recovery.replayed_events"])
+assert again["gauges"]["pending"] == pending, (
+    "second replay holds %d pending, first %d"
+    % (again["gauges"]["pending"], pending))
 print("durability counters: schema OK, replay re-applied "
-      f'{pc["recovery.replayed_events"]} events')
+      f'{pc["recovery.replayed_events"]} events; the sharded replay of '
+      f'its snapshot resumed {pending} pending')
 PY
   then
     :
@@ -180,6 +194,6 @@ PY
     status=1
   fi
   rm -rf "$rec_root"
-  rm -f "$snap_rec" "$snap_replay"
+  rm -f "$snap_rec" "$snap_replay" "$snap_again"
 fi
 exit "$status"
