@@ -25,7 +25,8 @@
 //                   ShardedCoordinationEngine.
 //
 // They also report parses per admitted text (core/parser.h ParseCount)
-// and CHECK-fail unless it is exactly 1.
+// and CHECK-fail unless it is exactly 1, or above their allocation
+// gates.
 //
 // Shapes:
 //
@@ -233,9 +234,11 @@ class AdmissionStack {
 /// Submits every text through a fresh stack's session: once to warm up,
 /// once counting allocations and parses, then kReps times on the clock
 /// (the stack is built and torn down outside the timed loop).  Prints
-/// and records the series and CHECKs one parse per text.
+/// and records the series and CHECKs one parse per text and its
+/// allocation gate.
 void MeasureAdmission(const std::string& series, const Database& db,
-                      bool durable, const std::vector<std::string>& texts) {
+                      bool durable, double alloc_gate,
+                      const std::vector<std::string>& texts) {
   const double n = static_cast<double>(texts.size());
   auto pass = [&](uint64_t* allocations, uint64_t* parses) {
     AdmissionStack stack(&db, durable);
@@ -277,9 +280,12 @@ void MeasureAdmission(const std::string& series, const Database& db,
                                       {"ns_per_text_min", ns_per_text.front()},
                                       {"ns_per_text_max", ns_per_text.back()},
                                       {"allocs_per_text", allocs_per_text},
+                                      {"alloc_gate", alloc_gate},
                                       {"parses_per_text", parses_per_text}});
   ENTANGLED_CHECK_EQ(parses, texts.size())
       << series << ": admission parsed a text more than once";
+  ENTANGLED_CHECK_LE(allocs_per_text, alloc_gate)
+      << series << ": heap allocations per text above the gate";
 }
 
 void RunShape(const Shape& shape) {
@@ -339,8 +345,10 @@ void RunAdmission() {
   Database db;
   ENTANGLED_CHECK(
       WorkloadGenerator(PerfbenchOptions(false)).BuildDatabase(&db).ok());
-  MeasureAdmission("admit_social", db, /*durable=*/false, texts);
-  MeasureAdmission("admit_durable", db, /*durable=*/true, texts);
+  MeasureAdmission("admit_social", db, /*durable=*/false,
+                   /*alloc_gate=*/52, texts);
+  MeasureAdmission("admit_durable", db, /*durable=*/true,
+                   /*alloc_gate=*/54, texts);
 }
 
 }  // namespace

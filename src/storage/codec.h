@@ -7,9 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/query.h"
 
 namespace entangled {
 namespace codec {
@@ -78,6 +81,12 @@ class Reader {
     if (!ReadU64(&raw)) return false;
     *v = static_cast<int64_t>(raw);
     return true;
+  }
+  /// An i64 query id: fails outside [0, max QueryId], the ids an engine
+  /// can issue, so recovery never narrows an id it cannot resume at.
+  bool ReadQueryId(int64_t* v) {
+    return ReadI64(v) && *v >= 0 &&
+           *v <= std::numeric_limits<QueryId>::max();
   }
   /// A view into the buffer, valid while the buffer is.
   bool ReadString(std::string_view* s) {

@@ -97,7 +97,7 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotState& state) {
 bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
   codec::Reader in(data, size);
   uint32_t num_relations = 0;
-  if (!in.ReadU64(&state->epoch) || !in.ReadI64(&state->next_durable_id) ||
+  if (!in.ReadU64(&state->epoch) || !in.ReadQueryId(&state->next_durable_id) ||
       !in.ReadU64(&state->next_sequence) ||
       !in.ReadU64(&state->evaluate_every) ||
       !in.ReadU64(&state->cadence_phase) ||
@@ -118,7 +118,7 @@ bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
   if (!in.ReadCount(&num_pending, kMinPendingBytes)) return false;
   state->pending.assign(num_pending, SnapshotPendingQuery());
   for (SnapshotPendingQuery& pending : state->pending) {
-    if (!in.ReadI64(&pending.id) || !in.ReadI64(&pending.session) ||
+    if (!in.ReadQueryId(&pending.id) || !in.ReadI64(&pending.session) ||
         !in.ReadString(&pending.text)) {
       return false;
     }

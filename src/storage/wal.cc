@@ -48,7 +48,7 @@ bool DecodeWalRecord(const uint8_t* data, size_t size, WalRecord* record) {
   codec::Reader body(data + 1, size - 1);
   switch (record->kind) {
     case WalRecord::Kind::kSubmit:
-      return body.ReadI64(&record->id) && body.ReadI64(&record->session) &&
+      return body.ReadQueryId(&record->id) && body.ReadI64(&record->session) &&
              body.ReadString(&record->text) && body.exhausted();
     case WalRecord::Kind::kSubmitBatch: {
       uint32_t count = 0;
@@ -61,13 +61,13 @@ bool DecodeWalRecord(const uint8_t* data, size_t size, WalRecord* record) {
       for (uint32_t i = 0; i < count; ++i) {
         int64_t id = -1;
         std::string text;
-        if (!body.ReadI64(&id) || !body.ReadString(&text)) return false;
+        if (!body.ReadQueryId(&id) || !body.ReadString(&text)) return false;
         record->batch.emplace_back(id, std::move(text));
       }
       return body.exhausted();
     }
     case WalRecord::Kind::kCancel:
-      return body.ReadI64(&record->id) && body.ReadI64(&record->session) &&
+      return body.ReadQueryId(&record->id) && body.ReadI64(&record->session) &&
              body.exhausted();
     case WalRecord::Kind::kSetEvaluateEvery:
     case WalRecord::Kind::kDeliveryMark:

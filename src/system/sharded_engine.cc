@@ -108,43 +108,19 @@ Result<std::vector<QueryId>> ShardedCoordinationEngine::SubmitBatchParsed(
 
 size_t ShardedCoordinationEngine::RouteAndAdmit(QuerySet* staging,
                                                 QueryId index, QueryId id) {
-  std::vector<RelationId> footprint = router_.Footprint(*staging, index);
-  if (footprint.empty()) {
-    // No postconditions and no head atoms (unreachable through the
-    // parser, which requires a head): the query can never gain a
-    // coordination edge.  One shared sentinel relation groups such
-    // loners — harmless, since co-sharding never creates edges — and
-    // keeps the router's namespace bounded.
-    footprint.push_back(router_.Intern("$lone"));
-  }
-  // Refresh the touched groups' weights (their shards' pending counts)
-  // before uniting, so union-by-weight keeps the heavy shard's root as
-  // the surviving group root.
-  std::vector<RelationId> prior_roots;
-  prior_roots.reserve(footprint.size());
-  for (RelationId r : footprint) prior_roots.push_back(router_.Find(r));
-  std::sort(prior_roots.begin(), prior_roots.end());
-  prior_roots.erase(std::unique(prior_roots.begin(), prior_roots.end()),
-                    prior_roots.end());
-  for (RelationId r : prior_roots) {
-    auto it = group_shard_.find(r);
-    router_.SetWeight(
-        r, it != group_shard_.end()
-               ? shards_[it->second].engine->num_pending()
-               : 0);
-  }
-  const RelationId root = router_.Unite(footprint);
-  ENTANGLED_CHECK(!prior_roots.empty());
-
-  // Live shards bound to the groups this footprint touched.
+  const EntangledQuery& query = staging->query(index);
+  const auto footprint = {&query.postconditions, &query.head};
+  // Live shards owning the footprint's relations, in slot order.
   std::vector<size_t> involved;
-  for (RelationId r : prior_roots) {
-    auto it = group_shard_.find(r);
-    if (it != group_shard_.end()) {
-      involved.push_back(it->second);
-      group_shard_.erase(it);
+  for (const auto* atoms : footprint) {
+    for (const Atom& atom : *atoms) {
+      auto it = relation_shard_.find(atom.relation);
+      if (it != relation_shard_.end()) involved.push_back(it->second);
     }
   }
+  std::sort(involved.begin(), involved.end());
+  involved.erase(std::unique(involved.begin(), involved.end()),
+                 involved.end());
 
   size_t slot;
   if (involved.empty()) {
@@ -155,8 +131,13 @@ size_t ShardedCoordinationEngine::RouteAndAdmit(QuerySet* staging,
     ++sharded_stats_.group_merges;
     slot = MergeShards(involved);
   }
-  group_shard_[root] = slot;
-  shards_[slot].group_root = root;
+  for (const auto* atoms : footprint) {
+    for (const Atom& atom : *atoms) {
+      if (relation_shard_.try_emplace(atom.relation, slot).second) {
+        shards_[slot].relations.push_back(atom.relation);
+      }
+    }
+  }
 
   // The id is unique across shards and monotone in submission order,
   // which is all the inner engines need to reproduce a single engine's
@@ -212,12 +193,17 @@ size_t ShardedCoordinationEngine::MergeShards(
   sharded_stats_.queries_retained += shards_[survivor].engine->num_pending();
 
   uint64_t moved = 0;
+  std::vector<std::string>& survivor_relations = shards_[survivor].relations;
   for (size_t s : slots) {
     if (s == survivor) continue;
     ENTANGLED_CHECK(shards_[s].deliveries.empty());
     CoordinationEngine::PendingExtract extract =
         shards_[s].engine->ExtractPending();
     moved += AdoptExtractIntoShard(survivor, &extract);
+    for (std::string& relation : shards_[s].relations) {
+      relation_shard_.at(relation) = survivor;
+      survivor_relations.push_back(std::move(relation));
+    }
     RetireShard(s, /*absorbed=*/true);
     flush_candidates_.erase(s);
   }
@@ -241,7 +227,7 @@ void ShardedCoordinationEngine::RetireShard(size_t slot, bool absorbed) {
   ENTANGLED_CHECK(shard.deliveries.empty());
   retired_stats_ += shard.engine->stats();
   shard.engine.reset();
-  shard.group_root = -1;
+  shard.relations.clear();
   free_slots_.push_back(slot);
   --num_live_shards_;
   if (absorbed) {
@@ -427,11 +413,12 @@ void ShardedCoordinationEngine::MaybeGcShards(
     if (shard.engine == nullptr || shard.engine->num_pending() != 0) {
       continue;
     }
-    // Drained: no pending query anywhere has a footprint inside this
-    // group (the sharding invariant), so its relations can revert to
-    // singletons and re-bridge along future traffic.
-    router_.DissolveGroup(shard.group_root);
-    group_shard_.erase(shard.group_root);
+    // Drained: no pending query anywhere names this shard's relations
+    // (the sharding invariant), so they unroute and re-bridge along
+    // future traffic.
+    for (const std::string& relation : shard.relations) {
+      relation_shard_.erase(relation);
+    }
     RetireShard(s, /*absorbed=*/false);
     flush_candidates_.erase(s);
   }

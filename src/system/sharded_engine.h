@@ -10,7 +10,6 @@
 
 #include "common/thread_pool.h"
 #include "system/engine.h"
-#include "system/relation_router.h"
 
 namespace entangled {
 
@@ -47,18 +46,22 @@ struct ShardedStats {
 
 /// \brief The multi-tenant front door: a CoordinationService that
 /// routes every arriving query to one of many inner CoordinationEngines
-/// by its **relation footprint** (RelationRouter) and keeps the whole
-/// ensemble byte-compatible with a single engine over the union.
+/// by its **relation footprint** (the answer relations its
+/// postconditions and heads name) and keeps the whole ensemble
+/// byte-compatible with a single engine over the union.
 ///
 /// The sharding invariant: a coordination edge requires a postcondition
-/// and a head naming the same answer relation, so queries whose
-/// footprints fall in disjoint relation groups can never coordinate —
-/// one inner engine per live relation group partitions the pending set
-/// with no lost deliveries.  Submit/SubmitBatch/Cancel route in
-/// O(footprint · α); Flush() fans independent shards out on a shared
-/// thread pool.
+/// and a head naming the same answer relation, so queries with disjoint
+/// footprints share no edge.  The front door maps each answer relation
+/// that a live shard's queries named to that shard; an arrival joins
+/// the shard its footprint names (creating one, or merging several)
+/// and claims its unrouted relations for it, so no edge ever crosses
+/// shards.  A drained shard's relations unroute, so the map holds only
+/// live shards' relations.  Submit/SubmitBatch/Cancel route in
+/// O(footprint) lookups; Flush() fans independent shards out on a
+/// shared thread pool.
 ///
-/// When an arrival's footprint spans k > 1 groups, the groups merge and
+/// When an arrival's footprint names k > 1 live shards, they merge and
 /// only the *smaller* shards' pending queries **migrate** into the
 /// largest survivor (CoordinationEngine::ExtractPending plus one bulk
 /// AdoptPending per source) — O(smaller side) per merge, not O(union).
@@ -145,10 +148,12 @@ class ShardedCoordinationEngine : public CoordinationService {
   // ------------------------------------------------------------------
 
   const ShardedStats& sharded_stats() const { return sharded_stats_; }
-  const RelationRouter& router() const { return router_; }
 
   /// Live inner engines right now.
   size_t num_live_shards() const { return num_live_shards_; }
+
+  /// Answer relations currently routed to a live shard.
+  size_t num_routed_relations() const { return relation_shard_.size(); }
 
   /// Whether two pending queries are currently routed to the same
   /// shard (component-mates always are; the converse need not hold).
@@ -166,7 +171,8 @@ class ShardedCoordinationEngine : public CoordinationService {
 
   struct Shard {
     std::unique_ptr<CoordinationEngine> engine;  ///< null once retired
-    RelationId group_root = -1;
+    /// The answer relations routed to this shard (relation_shard_).
+    std::vector<std::string> relations;
     /// Filled by this shard's delivery callback (on whichever thread
     /// flushes the shard — each shard is flushed by exactly one
     /// thread), drained and merged on the calling thread.
@@ -176,10 +182,11 @@ class ShardedCoordinationEngine : public CoordinationService {
   void CheckNotReentrant(const char* entry_point) const;
 
   /// Routes query `index` of a freshly parsed `*staging` set as query
-  /// `id`: computes its footprint, unites the touched relation groups
-  /// (merging shards when the footprint bridges several), moves the
-  /// query into the owning shard under `id`, and marks it pending.  No
-  /// evaluation.  Returns the shard slot the query landed in.
+  /// `id`: looks up the live shards its footprint's relations name
+  /// (creating one when none, merging them when several), claims the
+  /// footprint's unrouted relations for that shard, moves the query
+  /// into it under `id`, and marks it pending.  No evaluation.  Returns
+  /// the shard slot the query landed in.
   size_t RouteAndAdmit(QuerySet* staging, QueryId index, QueryId id);
 
   /// Fresh inner engine wired to this front door; returns its slot.
@@ -189,8 +196,8 @@ class ShardedCoordinationEngine : public CoordinationService {
   /// most pending queries (ties -> smallest slot) survives with its
   /// engine and memoized component state intact, and every
   /// other slot's extract is adopted into it with one bulk AdoptPending
-  /// call per source — O(sum of smaller sides) total.  Returns the
-  /// surviving slot.
+  /// call per source — O(sum of smaller sides) total — and its relations
+  /// are routed to it.  Returns the surviving slot.
   size_t MergeShards(const std::vector<size_t>& slots);
 
   /// Moves one source extract into `into_slot`'s engine (single bulk
@@ -214,9 +221,9 @@ class ShardedCoordinationEngine : public CoordinationService {
   size_t DrainDeliveries(const std::vector<size_t>& slots);
 
   /// Retires any of the named slots that drained to zero pending
-  /// queries and dissolves their relation groups back into singletons,
-  /// so relations re-bridge along the footprints future traffic
-  /// actually exhibits instead of accreting forever.
+  /// queries and unroutes their relations, so relations re-bridge along
+  /// the footprints future traffic actually exhibits instead of
+  /// accreting forever.
   void MaybeGcShards(const std::vector<size_t>& slots);
 
   const Database* db_;
@@ -228,8 +235,8 @@ class ShardedCoordinationEngine : public CoordinationService {
   std::unordered_map<QueryId, size_t> pending_;  ///< pending id -> shard
   size_t since_last_eval_ = 0;
 
-  RelationRouter router_;
-  std::unordered_map<RelationId, size_t> group_shard_;  // group root -> slot
+  /// Answer relation -> the live shard it routes to.
+  std::unordered_map<std::string, size_t> relation_shard_;
   std::vector<Shard> shards_;
   std::vector<size_t> free_slots_;  ///< retired slots awaiting reuse
   size_t num_live_shards_ = 0;
@@ -243,7 +250,9 @@ class ShardedCoordinationEngine : public CoordinationService {
   EngineStats front_stats_;    // submitted is counted here, once, globally
   EngineStats retired_stats_;  // folded-in stats of destroyed shards
   ShardedStats sharded_stats_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily created by Flush()
+  /// Shared by the shard fan-out and the inner engines' flushes; null
+  /// unless shard_threads or engine.flush_threads exceeds 1.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace entangled

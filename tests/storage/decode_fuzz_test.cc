@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,12 @@ void WriteBytes(const std::string& path, const Bytes& bytes) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   f.write(reinterpret_cast<const char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Whether a decoded id is one an engine can issue: recovery resumes
+/// numbering at it, so the decoders accept nothing else.
+bool InQueryIdRange(int64_t id) {
+  return id >= 0 && id <= std::numeric_limits<QueryId>::max();
 }
 
 bool EndsWith(const std::string& name, const std::string& suffix) {
@@ -310,6 +317,10 @@ TEST_F(DecodeFuzzTest, SnapshotDecoderSurvivesMutants) {
       continue;
     }
     ++loaded;
+    ASSERT_TRUE(InQueryIdRange(state->next_durable_id)) << "iteration " << i;
+    for (const SnapshotPendingQuery& pending : state->pending) {
+      ASSERT_TRUE(InQueryIdRange(pending.id)) << "iteration " << i;
+    }
     Database db;
     Status built = BuildDatabaseFromSnapshot(*state, &db);
     ASSERT_TRUE(built.ok() || !built.message().empty()) << "iteration " << i;
@@ -352,6 +363,15 @@ TEST_F(DecodeFuzzTest, WalDecoderSurvivesMutants) {
     ASSERT_TRUE(read.ok()) << "iteration " << i << ": "
                            << read.status().ToString();
     ASSERT_TRUE(!read->corrupt || !read->error.empty()) << "iteration " << i;
+    for (const WalRecord& record : read->records) {
+      if (record.kind == WalRecord::Kind::kSubmit ||
+          record.kind == WalRecord::Kind::kCancel) {
+        ASSERT_TRUE(InQueryIdRange(record.id)) << "iteration " << i;
+      }
+      for (const auto& [id, text] : record.batch) {
+        ASSERT_TRUE(InQueryIdRange(id)) << "iteration " << i;
+      }
+    }
     records += read->records.size();
   }
   EXPECT_GT(records, 0u);

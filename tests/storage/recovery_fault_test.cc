@@ -1,6 +1,7 @@
 // Fault-injection recovery tests (storage/durable_service.h): a real
 // recorded scenario is damaged on disk — bit-flipped WAL frames, torn
-// tails, deleted or corrupted snapshots, missing WAL segments, deleted
+// tails, deleted or corrupted snapshots, CRC-valid snapshots carrying
+// query ids outside QueryId's range, missing WAL segments, deleted
 // or corrupted fact segments, crashes between a fact segment and its
 // snapshot — and every injection must be *detected and typed* in the
 // RecoveryReport while recovery still lands on the newest consistent
@@ -25,6 +26,7 @@
 #include "storage/durable_service.h"
 #include "storage/snapshot.h"
 #include "system/engine.h"
+#include "system/sharded_engine.h"
 
 namespace entangled {
 namespace {
@@ -115,16 +117,18 @@ void RecordScenario(const std::string& dir) {
 /// surfaced via `state_error` instead (service stays null).
 struct Recovered {
   Database db;
-  std::unique_ptr<CoordinationEngine> inner;
+  std::unique_ptr<CoordinationService> inner;
   std::unique_ptr<DurableCoordinationService> durable;
   size_t forwarded = 0;  ///< deliveries downstream saw during recovery
   Status state_error = Status::OK();
 };
 
 /// `before_recover`, when set, runs on the rebuilt database between
-/// BuildDatabaseFromSnapshot and Recover().
+/// BuildDatabaseFromSnapshot and Recover().  `sharded` recovers into a
+/// ShardedCoordinationEngine instead of a CoordinationEngine.
 void Rehydrate(const std::string& dir, Recovered* out,
-               const std::function<void(Database*)>& before_recover = {}) {
+               const std::function<void(Database*)>& before_recover = {},
+               bool sharded = false) {
   auto state = ReadDurableState(dir);
   if (!state.ok()) {
     out->state_error = state.status();
@@ -134,7 +138,15 @@ void Rehydrate(const std::string& dir, Recovered* out,
   if (before_recover) before_recover(&out->db);
   EngineOptions engine_options;
   engine_options.evaluate_every = 1;
-  out->inner = std::make_unique<CoordinationEngine>(&out->db, engine_options);
+  if (sharded) {
+    ShardedEngineOptions sharded_options;
+    sharded_options.engine = engine_options;
+    out->inner = std::make_unique<ShardedCoordinationEngine>(&out->db,
+                                                             sharded_options);
+  } else {
+    out->inner =
+        std::make_unique<CoordinationEngine>(&out->db, engine_options);
+  }
   DurabilityOptions durability;
   durability.dir = dir;
   durability.fsync = FsyncPolicy::kNone;
@@ -338,6 +350,58 @@ TEST(RecoveryFaultTest, CorruptNewestSnapshotIsSkippedWithACount) {
   EXPECT_EQ(report.snapshots_skipped, 1u);
   EXPECT_EQ(report.snapshot_epoch, 0u);
   EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+}
+
+/// Rewrites snapshot-1 of the recorded scenario through the real
+/// writer, so its CRC is valid, after `edit` changed its state.
+void RewriteSnapshot(const std::string& dir,
+                     const std::function<void(SnapshotState*)>& edit) {
+  auto state = LoadSnapshot(SnapshotPath(dir, 1));
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  edit(&*state);
+  ASSERT_TRUE(WriteSnapshot(*state, dir).ok());
+}
+
+// A query id outside [0, max QueryId] in a CRC-valid snapshot makes the
+// snapshot malformed: it is skipped like a corrupt one.  Recovery used
+// to narrow such ids to QueryId, so a negative pending id aborted in
+// ResumeNumbering and an id past 2^32 made the first Submit after
+// recovery abort.
+TEST(RecoveryFaultTest, NegativePendingIdSkipsTheSnapshot) {
+  for (const bool sharded : {false, true}) {
+    TempDir dir;
+    RecordScenario(dir.path());
+    RewriteSnapshot(dir.path(), [](SnapshotState* state) {
+      ASSERT_EQ(state->pending.size(), 1u);
+      state->pending[0].id = -7;
+    });
+    Recovered r;
+    Rehydrate(dir.path(), &r, {}, sharded);
+    ASSERT_NE(r.durable, nullptr);
+    const RecoveryReport& report = r.durable->recovery_report();
+    EXPECT_EQ(report.snapshots_skipped, 1u);
+    EXPECT_EQ(report.snapshot_epoch, 0u);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+  }
+}
+
+TEST(RecoveryFaultTest, NextIdBeyondQueryIdRangeSkipsTheSnapshot) {
+  for (const bool sharded : {false, true}) {
+    TempDir dir;
+    RecordScenario(dir.path());
+    RewriteSnapshot(dir.path(), [](SnapshotState* state) {
+      state->next_durable_id = (int64_t{1} << 32) + 3;
+    });
+    Recovered r;
+    Rehydrate(dir.path(), &r, {}, sharded);
+    ASSERT_NE(r.durable, nullptr);
+    EXPECT_EQ(r.durable->recovery_report().snapshots_skipped, 1u);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+    auto id = r.durable->Submit(
+        "s2: { R(Ghost, t) } R(S2, t) :- Flights(t, Zurich).");
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    EXPECT_EQ(*id, 6);
+  }
 }
 
 TEST(RecoveryFaultTest, MissingWalSegmentIsAGapNotASkip) {

@@ -1,97 +1,20 @@
-// Router edge cases: the union-find over answer relations
-// (system/relation_router.h) and the routing/merge/GC behaviour it
-// drives in the sharded front door — k-way group merges in one
-// submission, shard GC when a Cancel drains a shard, re-bridging a
-// previously merged-then-drained group, and global-id stability across
-// migration.
+// Routing edge cases in the sharded front door, which maps each answer
+// relation that a live shard's queries named in their postconditions or
+// heads to that shard (system/sharded_engine.h): body relations never
+// route, k-way shard merges in one submission, shard GC when a Cancel
+// drains a shard, re-bridging a previously merged-then-drained group,
+// and global-id stability across migration.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/query.h"
-#include "system/relation_router.h"
 #include "system/sharded_engine.h"
 #include "workload/social_data.h"
 
 namespace entangled {
 namespace {
-
-// ---------------------------------------------------------------------------
-// RelationRouter unit tests
-// ---------------------------------------------------------------------------
-
-TEST(RelationRouterTest, InternIsIdempotent) {
-  RelationRouter router;
-  RelationId a = router.Intern("A");
-  EXPECT_EQ(router.Intern("A"), a);
-  RelationId b = router.Intern("B");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(router.num_relations(), 2u);
-  EXPECT_EQ(router.relation_name(a), "A");
-  EXPECT_EQ(router.num_groups(), 2u);
-}
-
-TEST(RelationRouterTest, FootprintCoversPostsAndHeadsOnly) {
-  QuerySet set;
-  QueryBuilder builder(&set, "q");
-  VarId x = builder.Var("x");
-  builder.Post("A", {Term::Str("T"), Term::Var(x)});
-  builder.Post("B", {Term::Str("T"), Term::Var(x)});
-  builder.Head("C", {Term::Str("T"), Term::Var(x)});
-  builder.Body("Users", {Term::Var(x), Term::Str("user1")});
-  QueryId q = builder.Build();
-
-  RelationRouter router;
-  std::vector<RelationId> footprint = router.Footprint(set, q);
-  ASSERT_EQ(footprint.size(), 3u);  // A, B, C — never the body's Users
-  for (RelationId r : footprint) {
-    EXPECT_NE(router.relation_name(r), "Users");
-  }
-}
-
-TEST(RelationRouterTest, UniteReportsPriorRootsAndMerges) {
-  RelationRouter router;
-  RelationId a = router.Intern("A");
-  RelationId b = router.Intern("B");
-  RelationId c = router.Intern("C");
-  // Three singleton groups; one footprint touching all three merges
-  // them and reports all three prior roots.
-  std::vector<RelationId> prior;
-  RelationId root = router.Unite({a, b, c}, &prior);
-  EXPECT_EQ(prior.size(), 3u);
-  EXPECT_EQ(router.Find(a), root);
-  EXPECT_EQ(router.Find(b), root);
-  EXPECT_EQ(router.Find(c), root);
-  EXPECT_EQ(router.num_groups(), 1u);
-  EXPECT_EQ(router.GroupRelations(root).size(), 3u);
-
-  // Uniting within the merged group is a no-op with one prior root.
-  router.Unite({b, c}, &prior);
-  EXPECT_EQ(prior.size(), 1u);
-  EXPECT_EQ(prior.front(), root);
-}
-
-TEST(RelationRouterTest, DissolveGroupRestoresSingletons) {
-  RelationRouter router;
-  RelationId a = router.Intern("A");
-  RelationId b = router.Intern("B");
-  RelationId root = router.Unite({a, b});
-  ASSERT_EQ(router.num_groups(), 1u);
-  router.DissolveGroup(root);
-  EXPECT_EQ(router.num_groups(), 2u);
-  EXPECT_EQ(router.Find(a), a);
-  EXPECT_EQ(router.Find(b), b);
-  // Dissolved relations re-bridge like fresh ones.
-  EXPECT_EQ(router.Find(a), router.Find(a));
-  RelationId again = router.Unite({a, b});
-  EXPECT_EQ(router.Find(b), again);
-}
-
-// ---------------------------------------------------------------------------
-// Routing behaviour through the sharded front door
-// ---------------------------------------------------------------------------
 
 class ShardedRoutingTest : public ::testing::Test {
  protected:
@@ -129,6 +52,8 @@ TEST_F(ShardedRoutingTest, DisjointFootprintsGetSeparateShards) {
   EXPECT_FALSE(engine_->SameShard(a, b));
   EXPECT_FALSE(engine_->SameShard(b, c));
   EXPECT_EQ(engine_->sharded_stats().group_merges, 0u);
+  // A, B and C route; the shared body relation Users does not.
+  EXPECT_EQ(engine_->num_routed_relations(), 3u);
 }
 
 TEST_F(ShardedRoutingTest, KWayMergeInOneSubmission) {
@@ -138,7 +63,7 @@ TEST_F(ShardedRoutingTest, KWayMergeInOneSubmission) {
   ASSERT_EQ(engine_->num_live_shards(), 3u);
 
   // One arrival whose posts span A, B, and C (and a new head relation
-  // D): all four groups — three of them live shards — merge at once.
+  // D): the three live shards merge at once, and D joins the survivor.
   QueryId k = MustSubmit(Query("qk", "D", "Td",
                                "A(Ta, x), B(Tb, x), C(Tc, x)"));
   EXPECT_EQ(engine_->num_live_shards(), 1u);
@@ -169,8 +94,8 @@ TEST_F(ShardedRoutingTest, CancelEmptyingAShardGcsIt) {
   EXPECT_EQ(engine_->sharded_stats().shards_gced, 1u);
   EXPECT_FALSE(engine_->IsPending(a));
   EXPECT_EQ(engine_->num_pending(), 1u);
-  // A's group dissolved with the shard: the next A query starts a
-  // fresh shard instead of resurrecting routing state.
+  // A unrouted with the shard: the next A query starts a fresh shard
+  // instead of resurrecting routing state.
   QueryId a2 = MustSubmit(Query("qa2", "A", "Ta2"));
   EXPECT_EQ(engine_->num_live_shards(), 2u);
   EXPECT_TRUE(engine_->IsPending(a2));
@@ -183,14 +108,14 @@ TEST_F(ShardedRoutingTest, RebridgingAMergedThenDrainedGroup) {
   ASSERT_EQ(engine_->num_live_shards(), 1u);
   ASSERT_EQ(engine_->sharded_stats().group_merges, 1u);
 
-  // Drain the merged shard entirely; its {A, B, C} relation group
-  // dissolves back into singletons.
+  // Drain the merged shard entirely; its relations A, B and C unroute.
   EXPECT_TRUE(engine_->Cancel(bridge));
   EXPECT_TRUE(engine_->Cancel(a));
   EXPECT_TRUE(engine_->Cancel(b));
   EXPECT_EQ(engine_->num_live_shards(), 0u);
   EXPECT_EQ(engine_->num_pending(), 0u);
   EXPECT_EQ(engine_->sharded_stats().shards_gced, 1u);
+  EXPECT_EQ(engine_->num_routed_relations(), 0u);
 
   // A and B start out independent again...
   QueryId a2 = MustSubmit(Query("qa2", "A", "Ta"));

@@ -271,7 +271,8 @@ TEST_F(ShardedMergeTest, SurvivorKeepsMemoizedComponentStateAcrossMerge) {
 
 /// Bridge-then-cancel churn: merges followed by cancels drain shards,
 /// free their slots, and the next wave reuses them.  The slot table
-/// must stay bounded by the live width, not the churn count.
+/// must stay bounded by the live width, and the routing table by the
+/// live shards' relations, not the churn count.
 TEST_F(ShardedMergeTest, BridgeThenCancelChurnRecyclesSlots)  {
   ShardedCoordinationEngine engine(&db_);
   engine.set_evaluate_every(0);
@@ -289,6 +290,7 @@ TEST_F(ShardedMergeTest, BridgeThenCancelChurnRecyclesSlots)  {
                             "(Tb, x) :- Users(x, 'user7').")
                     .ok());
     ASSERT_EQ(engine.num_live_shards(), 1u);
+    ASSERT_EQ(engine.num_routed_relations(), 3u);  // X, Y and B, per round
     for (const ShardGauge& row : engine.GaugesSnapshot().shards) {
       max_slot = std::max(max_slot, row.slot);
     }
@@ -300,6 +302,7 @@ TEST_F(ShardedMergeTest, BridgeThenCancelChurnRecyclesSlots)  {
     }
     ASSERT_EQ(engine.num_live_shards(), 0u);
     ASSERT_EQ(engine.num_pending(), 0u);
+    ASSERT_EQ(engine.num_routed_relations(), 0u);
   }
   const ShardedStats& stats = engine.sharded_stats();
   EXPECT_EQ(stats.merge_events, 6u);
