@@ -13,13 +13,20 @@
 //
 // A second series measures Flush() fan-out: N independent coordinating
 // components evaluated by 1 vs. several worker threads.
+//
+// A third series (index_admission) counts the unification work of
+// admission alone, straight through ExtendedCoordinationGraph: candidate
+// atoms tested per admitted query against the edges they produce.
 
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/timer.h"
+#include "core/coordination_graph.h"
+#include "core/parser.h"
 #include "system/engine.h"
 #include "testing/reference_coordinator.h"
 #include "workload/social_data.h"
@@ -179,11 +186,87 @@ void ParallelFlushSeries() {
       "bit for bit (gains require hardware parallelism)");
 }
 
+/// Admission through the unification index alone, on dense-shaped
+/// groups (perfbench's `dense`): 16-24 members, each posting with
+/// probability 0.25 on each partner's head, every group g coordinating
+/// through `A<g % 16>` and naming members by constant first arguments,
+/// `A9(G9M4, x)`.  The last `live_groups` groups stay live and each
+/// admitted group retires the oldest, one retirement per delivered
+/// group, so a relation bucket holds atoms of several groups.  Tests and
+/// edges are counts; they repeat exactly on any host.
+void IndexAdmissionSeries() {
+  constexpr size_t kGroups = 1000;
+  constexpr size_t kRelations = 16;
+  benchutil::PrintSeriesHeader(
+      "Index admission: dense-shaped groups through AddQuery/RetireQueries, "
+      "candidates tested and edges per admitted query",
+      {"live_groups", "tests_per_admission", "edges_per_admission",
+       "admit_us"});
+  Rng rng(24);
+  QuerySet set;
+  std::vector<std::vector<QueryId>> groups(kGroups);
+  for (size_t g = 0; g < kGroups; ++g) {
+    const size_t size = 16 + rng.NextBounded(9);
+    auto atom = [g](size_t member) {
+      return "A" + std::to_string(g % kRelations) + "(G" + std::to_string(g) +
+             "M" + std::to_string(member) + ", x)";
+    };
+    for (size_t m = 0; m < size; ++m) {
+      std::string posts;
+      for (size_t partner = 0; partner < size; ++partner) {
+        if (partner == m || !rng.NextBool(0.25)) continue;
+        posts += (posts.empty() ? "" : ", ") + atom(partner);
+      }
+      auto id = ParseQuery("q" + std::to_string(g) + "_" + std::to_string(m) +
+                               ": { " + posts + " } " + atom(m) +
+                               " :- Users(x, 'u').",
+                           &set);
+      ENTANGLED_CHECK(id.ok()) << id.status();
+      groups[g].push_back(*id);
+    }
+  }
+  for (size_t live_groups : {size_t{16}, size_t{64}}) {
+    ExtendedCoordinationGraph graph;
+    uint64_t admissions = 0;
+    uint64_t edges = 0;
+    WallTimer timer;
+    for (size_t g = 0; g < kGroups; ++g) {
+      for (QueryId q : groups[g]) {
+        graph.AddQuery(set, q);
+        ++admissions;
+        // No member posts on its own head, so no edge is in both lists.
+        edges += graph.OutEdges(q).size() + graph.InEdges(q).size();
+      }
+      if (g >= live_groups) graph.RetireQueries(groups[g - live_groups]);
+    }
+    const double admit_us = timer.ElapsedSeconds() * 1e6 / admissions;
+    const uint64_t tests = graph.positionwise_tests();
+    const double n = static_cast<double>(admissions);
+    benchutil::PrintRow({static_cast<double>(live_groups), tests / n,
+                         edges / n, admit_us});
+    benchutil::PrintJsonRecord(
+        "index_admission",
+        {{"live_groups", static_cast<double>(live_groups)},
+         {"admissions", n},
+         {"tests_per_admission", tests / n},
+         {"edges_per_admission", edges / n},
+         {"admit_us", admit_us}});
+    ENTANGLED_CHECK_LE(tests, 2 * edges)
+        << "admission must not test candidates whose first argument names "
+           "another member: "
+        << tests << " tests for " << edges << " edges";
+  }
+  benchutil::PrintNote(
+      "admit_us times AddQuery plus the amortized RetireQueries; the "
+      "first-argument filter keeps tests near edges at any backlog");
+}
+
 }  // namespace
 }  // namespace entangled
 
 int main() {
   entangled::StreamSeries();
   entangled::ParallelFlushSeries();
+  entangled::IndexAdmissionSeries();
   return 0;
 }

@@ -2,33 +2,48 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/logging.h"
 
 namespace entangled {
+namespace {
+
+// An atom's first argument as the unification index keys it.
+Term FirstArg(const Atom& atom) {
+  return atom.terms.empty() ? Term() : atom.terms[0];
+}
+
+// Whether two first arguments are distinct constants, which
+// PositionwiseUnifiable rejects at position 0.
+bool Clash(const Term& a, const Term& b) {
+  return a.is_constant() && b.is_constant() && a != b;
+}
+
+}  // namespace
 
 void ExtendedCoordinationGraph::EnsureCapacity(size_t n) {
   if (out_.size() < n) {
     out_.resize(n);
     in_.resize(n);
     live_.resize(n, false);
-    indexed_relations_.resize(n);
+    indexed_buckets_.resize(n);
   }
 }
 
 void ExtendedCoordinationGraph::IndexAtoms(const QuerySet& set, QueryId q) {
   const EntangledQuery& query = set.query(q);
-  auto& touched = indexed_relations_[static_cast<size_t>(q)];
-  for (size_t pi = 0; pi < query.postconditions.size(); ++pi) {
-    post_buckets_[query.postconditions[pi].relation].push_back(
-        AtomRef{q, pi});
-    touched.push_back(query.postconditions[pi].relation);
-  }
-  for (size_t hi = 0; hi < query.head.size(); ++hi) {
-    head_buckets_[query.head[hi].relation].push_back(AtomRef{q, hi});
-    touched.push_back(query.head[hi].relation);
-  }
+  auto& entered = indexed_buckets_[static_cast<size_t>(q)];
+  auto index = [&](std::unordered_map<std::string, Bucket>* buckets,
+                   const std::vector<Atom>& atoms) {
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      Bucket* bucket = &(*buckets)[atoms[i].relation];
+      bucket->push_back(
+          AtomRef{q, static_cast<uint32_t>(i), FirstArg(atoms[i])});
+      entered.push_back(bucket);
+    }
+  };
+  index(&post_buckets_, query.postconditions);
+  index(&head_buckets_, query.head);
 }
 
 size_t ExtendedCoordinationGraph::AddEdgeSlot(QueryId from, size_t post_index,
@@ -87,12 +102,16 @@ void ExtendedCoordinationGraph::AddQuery(const QuerySet& set, QueryId q) {
 
   const EntangledQuery& query = set.query(q);
   // q's postconditions against every live head sharing a relation name
-  // (q's own heads included — they were indexed just above).
+  // (q's own heads included — they were indexed just above).  An entry
+  // whose first argument clashes is skipped before its atom is read.
   for (size_t pi = 0; pi < query.postconditions.size(); ++pi) {
     const Atom& post = query.postconditions[pi];
     auto bucket = head_buckets_.find(post.relation);
     if (bucket == head_buckets_.end()) continue;
+    const Term first = FirstArg(post);
     for (const AtomRef& ref : bucket->second) {
+      if (Clash(first, ref.first)) continue;
+      ++positionwise_tests_;
       const Atom& head = set.query(ref.query).head[ref.index];
       if (!PositionwiseUnifiable(post, head)) continue;
       AddEdgeSlot(q, pi, ref.query, ref.index);
@@ -104,8 +123,10 @@ void ExtendedCoordinationGraph::AddQuery(const QuerySet& set, QueryId q) {
     const Atom& head = query.head[hi];
     auto bucket = post_buckets_.find(head.relation);
     if (bucket == post_buckets_.end()) continue;
+    const Term first = FirstArg(head);
     for (const AtomRef& ref : bucket->second) {
-      if (ref.query == q) continue;
+      if (ref.query == q || Clash(first, ref.first)) continue;
+      ++positionwise_tests_;
       const Atom& post = set.query(ref.query).postconditions[ref.index];
       if (!PositionwiseUnifiable(post, head)) continue;
       AddEdgeSlot(ref.query, ref.index, q, hi);
@@ -115,65 +136,52 @@ void ExtendedCoordinationGraph::AddQuery(const QuerySet& set, QueryId q) {
 
 void ExtendedCoordinationGraph::RetireQueries(
     const std::vector<QueryId>& ids) {
-  if (ids.empty()) return;
-  std::unordered_set<QueryId> retiring;
+  // Clear liveness first: the passes below tell retiring queries from
+  // survivors by it.
   for (QueryId q : ids) {
     ENTANGLED_CHECK(IsLive(q)) << "query " << q << " is not live";
-    retiring.insert(q);
+    live_[static_cast<size_t>(q)] = false;
+    --num_live_;
   }
-  // Collect incident edge slots once (a self-loop sits in both lists).
-  std::unordered_set<size_t> dead_slots;
-  for (QueryId q : ids) {
-    for (size_t e : out_[static_cast<size_t>(q)]) dead_slots.insert(e);
-    for (size_t e : in_[static_cast<size_t>(q)]) dead_slots.insert(e);
-  }
-  // Unlink dead slots from surviving endpoints' lists.
+  // Free each incident edge slot once: edge_live_ marks the slots already
+  // freed (a self-loop sits in both of its query's lists, an edge
+  // between two retiring queries in both of theirs), and only survivors'
+  // lists need unlinking.
   auto unlink = [](std::vector<size_t>* slots, size_t e) {
     auto it = std::find(slots->begin(), slots->end(), e);
     ENTANGLED_CHECK(it != slots->end());
     *it = slots->back();
     slots->pop_back();
   };
-  for (size_t e : dead_slots) {
-    const ExtendedEdge& edge = edges_[e];
-    if (retiring.count(edge.from) == 0) {
-      unlink(&out_[static_cast<size_t>(edge.from)], e);
-    }
-    if (retiring.count(edge.to) == 0) {
-      unlink(&in_[static_cast<size_t>(edge.to)], e);
-    }
-    edge_live_[e] = false;
-    free_slots_.push_back(e);
-  }
-  // Drop the retired queries' own lists, liveness, and index entries.
+  std::vector<Bucket*> buckets;
   for (QueryId q : ids) {
-    out_[static_cast<size_t>(q)].clear();
-    in_[static_cast<size_t>(q)].clear();
-    live_[static_cast<size_t>(q)] = false;
-    --num_live_;
+    for (std::vector<size_t>* slots :
+         {&out_[static_cast<size_t>(q)], &in_[static_cast<size_t>(q)]}) {
+      for (size_t e : *slots) {
+        if (!edge_live_[e]) continue;
+        const ExtendedEdge& edge = edges_[e];
+        if (IsLive(edge.from)) unlink(&out_[static_cast<size_t>(edge.from)], e);
+        if (IsLive(edge.to)) unlink(&in_[static_cast<size_t>(edge.to)], e);
+        edge_live_[e] = false;
+        free_slots_.push_back(e);
+      }
+      slots->clear();
+    }
+    auto& entered = indexed_buckets_[static_cast<size_t>(q)];
+    buckets.insert(buckets.end(), entered.begin(), entered.end());
+    entered.clear();
+    entered.shrink_to_fit();
   }
-  // Scrub only the buckets the retired queries' atoms actually landed
-  // in — not the whole index — so retirement stays proportional to the
-  // retired queries' footprint.
-  auto scrub = [&retiring](std::vector<AtomRef>* bucket) {
+  // Scrub each bucket the retired atoms entered once — not the whole
+  // index — so retirement stays proportional to their footprint.
+  std::sort(buckets.begin(), buckets.end());
+  buckets.erase(std::unique(buckets.begin(), buckets.end()), buckets.end());
+  for (Bucket* bucket : buckets) {
     bucket->erase(std::remove_if(bucket->begin(), bucket->end(),
-                                 [&retiring](const AtomRef& ref) {
-                                   return retiring.count(ref.query) > 0;
+                                 [this](const AtomRef& ref) {
+                                   return !IsLive(ref.query);
                                  }),
                   bucket->end());
-  };
-  std::unordered_set<std::string> touched_relations;
-  for (QueryId q : ids) {
-    auto& touched = indexed_relations_[static_cast<size_t>(q)];
-    touched_relations.insert(touched.begin(), touched.end());
-    touched.clear();
-    touched.shrink_to_fit();
-  }
-  for (const std::string& relation : touched_relations) {
-    auto head_bucket = head_buckets_.find(relation);
-    if (head_bucket != head_buckets_.end()) scrub(&head_bucket->second);
-    auto post_bucket = post_buckets_.find(relation);
-    if (post_bucket != post_buckets_.end()) scrub(&post_bucket->second);
   }
 }
 

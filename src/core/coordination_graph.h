@@ -1,6 +1,7 @@
 #ifndef ENTANGLED_CORE_COORDINATION_GRAPH_H_
 #define ENTANGLED_CORE_COORDINATION_GRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,9 +38,12 @@ struct ExtendedEdge {
 ///  * **Incremental** (the streaming engine, §6.1): default-construct,
 ///    then AddQuery() per arrival and RetireQueries() per delivered
 ///    coordinating set.  A per-relation unification index buckets live
-///    head and postcondition atoms by relation name, so admitting a
-///    query unifies only against candidate buckets — near O(degree) for
-///    realistic workloads instead of rescanning every pending atom.
+///    head and postcondition atoms by relation name, and each entry
+///    carries its atom's first-argument constant.  Admitting a query
+///    scans only the buckets of its relations and skips every entry
+///    whose first argument is a different constant, so near O(degree)
+///    for realistic workloads instead of rescanning every pending atom.
+///    A probe whose first argument is a variable scans its whole bucket.
 ///
 /// After a retirement the edge *array* keeps freed slots for reuse, so
 /// edges() is only meaningful for never-retired graphs (the batch use);
@@ -49,6 +53,10 @@ class ExtendedCoordinationGraph {
  public:
   /// An empty incremental graph; grow it with AddQuery().
   ExtendedCoordinationGraph() = default;
+  // Move only: indexed_buckets_ points into the bucket maps, which a
+  // move carries along and a copy would not.
+  ExtendedCoordinationGraph(ExtendedCoordinationGraph&&) = default;
+  ExtendedCoordinationGraph& operator=(ExtendedCoordinationGraph&&) = default;
 
   /// Batch mode: builds the graph over all queries of `set` (quadratic
   /// in the number of atoms; in realistic workloads the graph is very
@@ -63,14 +71,21 @@ class ExtendedCoordinationGraph {
   /// postconditions against the live head buckets and its heads against
   /// the live postcondition buckets, adding one edge per match
   /// (self-edges included).  Afterwards OutEdges(q)/InEdges(q) are
-  /// exactly q's incident edges.  Cost: O(candidate atoms sharing a
-  /// relation name), not O(all pending atoms).
+  /// exactly q's incident edges.  An entry whose first argument is a
+  /// constant other than the probe's is skipped unread; the rest go to
+  /// PositionwiseUnifiable.  Cost: O(atoms sharing a relation name and
+  /// not a distinct first-argument constant), the whole bucket when
+  /// either side's first argument is a variable.
   void AddQuery(const QuerySet& set, QueryId q);
 
   /// Removes the given live queries and every edge incident to them;
   /// their atoms leave the unification index.  Freed edge slots are
   /// reused by later AddQuery calls.
   void RetireQueries(const std::vector<QueryId>& ids);
+
+  /// Candidates AddQuery has handed to PositionwiseUnifiable so far (a
+  /// hardware-independent cost of admission; compare with the edges).
+  uint64_t positionwise_tests() const { return positionwise_tests_; }
 
   /// Whether q has been added and not retired.
   bool IsLive(QueryId q) const {
@@ -116,11 +131,15 @@ class ExtendedCoordinationGraph {
   std::string ToString(const QuerySet& set) const;
 
  private:
-  /// A live head or postcondition atom: query + index within its list.
+  /// A live head or postcondition atom: query + index within its list,
+  /// and its first argument (a variable at arity 0), so that AddQuery
+  /// can skip a distinct constant without reading the atom.
   struct AtomRef {
     QueryId query;
-    size_t index;
+    uint32_t index;
+    Term first;
   };
+  using Bucket = std::vector<AtomRef>;
 
   /// Stores the edge (reusing a freed slot when available) and links it
   /// into both endpoint lists; returns the slot.
@@ -140,15 +159,16 @@ class ExtendedCoordinationGraph {
   std::vector<std::vector<size_t>> in_;   // per query, edge slots
   std::vector<bool> live_;
   size_t num_live_ = 0;
+  uint64_t positionwise_tests_ = 0;
 
   // The unification index: live atoms bucketed by relation name (arity
   // mismatches are rejected by PositionwiseUnifiable during the scan).
-  // Buckets hold queries in admission order.  indexed_relations_
-  // remembers, per query, which buckets its atoms landed in, so
-  // retirement scrubs only those buckets instead of the whole index.
-  std::unordered_map<std::string, std::vector<AtomRef>> head_buckets_;
-  std::unordered_map<std::string, std::vector<AtomRef>> post_buckets_;
-  std::vector<std::vector<std::string>> indexed_relations_;  // per query
+  // Buckets hold queries in admission order and are never erased, so
+  // indexed_buckets_ can remember, per query, the buckets its atoms
+  // entered: retirement scrubs only those instead of the whole index.
+  std::unordered_map<std::string, Bucket> head_buckets_;
+  std::unordered_map<std::string, Bucket> post_buckets_;
+  std::vector<std::vector<Bucket*>> indexed_buckets_;  // per query
 };
 
 /// \brief Convenience: the collapsed coordination graph of a query set.

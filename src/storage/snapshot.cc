@@ -117,11 +117,17 @@ bool DecodeSnapshot(const uint8_t* data, size_t size, SnapshotState* state) {
   uint32_t num_pending = 0;
   if (!in.ReadCount(&num_pending, kMinPendingBytes)) return false;
   state->pending.assign(num_pending, SnapshotPendingQuery());
+  // Recovery re-admits pending queries in id order below the next id;
+  // ids that do not strictly ascend or reach it make the payload
+  // malformed, so recovery falls back to an older snapshot.
+  int64_t previous = -1;
   for (SnapshotPendingQuery& pending : state->pending) {
-    if (!in.ReadQueryId(&pending.id) || !in.ReadI64(&pending.session) ||
-        !in.ReadString(&pending.text)) {
+    if (!in.ReadQueryId(&pending.id) || pending.id <= previous ||
+        pending.id >= state->next_durable_id ||
+        !in.ReadI64(&pending.session) || !in.ReadString(&pending.text)) {
       return false;
     }
+    previous = pending.id;
   }
   return in.exhausted();
 }

@@ -47,6 +47,8 @@ struct SnapshotState {
   uint64_t cadence_phase = 0;  ///< submissions since the last evaluation
   uint64_t total_events = 0;   ///< logged events folded into this snapshot
   std::vector<SnapshotRelation> relations;
+  /// Strictly ascending ids, all below next_durable_id; a payload that
+  /// breaks this does not decode.
   std::vector<SnapshotPendingQuery> pending;
 };
 

@@ -262,8 +262,10 @@ class CoordinationService {
 /// The incremental core keeps four persistent structures in sync:
 ///
 ///  * an ExtendedCoordinationGraph over the pending queries, updated per
-///    arrival through its per-relation unification index (AddQuery) and
-///    per delivery (RetireQueries);
+///    arrival through its per-relation unification index (AddQuery),
+///    which skips atoms whose first argument is a constant other than
+///    the arrival's and scans the whole bucket when it is a variable,
+///    and per delivery (RetireQueries);
 ///  * a union-find over the graph's weakly connected components, so
 ///    "which component does this query belong to" is an index lookup
 ///    instead of a graph rebuild + BFS;

@@ -44,23 +44,91 @@ QuerySet ParseAll(const std::vector<std::string>& texts) {
   return set;
 }
 
+/// An answer atom over R0..R1 of arity 1-3.  Its first argument is a
+/// string constant, an integer constant that prints the same (`'1'`
+/// against `1`: they never unify), or a variable, so the unification
+/// index holds keyed, unkeyed and kind-mismatched entries.
+std::string RandomAtom(Rng* rng) {
+  std::string atom = "R" + std::to_string(rng->NextBounded(2)) + "(";
+  const std::string digit = std::to_string(rng->NextBounded(3));
+  switch (rng->NextBounded(3)) {
+    case 0:
+      atom += "'" + digit + "'";
+      break;
+    case 1:
+      atom += digit;
+      break;
+    default:
+      atom += "x";
+      break;
+  }
+  const size_t arity = 1 + rng->NextBounded(3);
+  for (size_t i = 1; i < arity; ++i) {
+    atom += rng->NextBool(0.5) ? ", y" : ", 'c'";
+  }
+  return atom + ")";
+}
+
 std::vector<std::string> RandomWorkload(uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> texts;
-  size_t n = 4 + rng.NextBounded(10);
+  size_t n = 4 + rng.NextBounded(16);
   for (size_t i = 0; i < n; ++i) {
-    const std::string rel = "R" + std::to_string(rng.NextBounded(3));
-    const std::string partner = "R" + std::to_string(rng.NextBounded(3));
-    const std::string me = "N" + std::to_string(i);
-    const std::string other = "N" + std::to_string(rng.NextBounded(n));
-    texts.push_back("q" + std::to_string(i) + ": { " + partner + "('" +
-                    other + "', x) } " + rel + "('" + me +
-                    "', x) :- Users(x, 'u').");
+    std::string posts = RandomAtom(&rng);
+    if (rng.NextBool(0.3)) posts += ", " + RandomAtom(&rng);
+    std::string heads = RandomAtom(&rng);
+    if (rng.NextBool(0.3)) heads += ", " + RandomAtom(&rng);
+    texts.push_back("q" + std::to_string(i) + ": { " + posts + " } " + heads +
+                    " :- Users(x, y).");
   }
   return texts;
 }
 
+/// How the first arguments of a (postcondition, head) pair compare.
+enum class FirstArgs { kVariable, kSameConstant, kOtherConstant, kOtherKind };
+
+FirstArgs CompareFirstArgs(const Atom& post, const Atom& head) {
+  const Term& a = post.terms[0];
+  const Term& b = head.terms[0];
+  if (a.is_variable() || b.is_variable()) return FirstArgs::kVariable;
+  if (a.constant() == b.constant()) return FirstArgs::kSameConstant;
+  return a.constant().ToString() == b.constant().ToString()
+             ? FirstArgs::kOtherKind
+             : FirstArgs::kOtherConstant;
+}
+
+/// The (postcondition, head) pairs of a set that share a relation, per
+/// FirstArgs case: `bucket_mates` counts them all (the index scans each
+/// once), `decided_first` only those that would unify but for their
+/// first arguments.
+struct PairCounts {
+  std::vector<size_t> bucket_mates = std::vector<size_t>(4, 0);
+  std::vector<size_t> decided_first = std::vector<size_t>(4, 0);
+};
+
+PairCounts CountPairs(const QuerySet& set) {
+  PairCounts counts;
+  for (QueryId from = 0; from < static_cast<QueryId>(set.size()); ++from) {
+    for (const Atom& post : set.query(from).postconditions) {
+      for (QueryId to = 0; to < static_cast<QueryId>(set.size()); ++to) {
+        for (const Atom& head : set.query(to).head) {
+          if (post.relation != head.relation) continue;
+          const size_t kind = static_cast<size_t>(CompareFirstArgs(post, head));
+          ++counts.bucket_mates[kind];
+          Atom unkeyed = post;
+          unkeyed.terms[0] = head.terms[0];
+          if (PositionwiseUnifiable(unkeyed, head)) {
+            ++counts.decided_first[kind];
+          }
+        }
+      }
+    }
+  }
+  return counts;
+}
+
 TEST(IncrementalCoordinationGraphTest, AddQueryMatchesBatchBuild) {
+  std::vector<size_t> covered(4, 0);
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     QuerySet set = ParseAll(RandomWorkload(seed * 71));
     ExtendedCoordinationGraph batch(set);
@@ -70,6 +138,21 @@ TEST(IncrementalCoordinationGraphTest, AddQueryMatchesBatchBuild) {
     }
     EXPECT_EQ(LiveEdges(incremental), LiveEdges(batch)) << "seed " << seed;
     EXPECT_EQ(incremental.num_live(), set.size());
+    const PairCounts counts = CountPairs(set);
+    for (size_t kind = 0; kind < covered.size(); ++kind) {
+      covered[kind] += counts.decided_first[kind];
+    }
+    // A candidate whose first argument is a variable or an equal
+    // constant is tested; distinct constants, of either kind, are not.
+    EXPECT_EQ(incremental.positionwise_tests(),
+              counts.bucket_mates[static_cast<size_t>(FirstArgs::kVariable)] +
+                  counts.bucket_mates[static_cast<size_t>(
+                      FirstArgs::kSameConstant)])
+        << "seed " << seed;
+  }
+  // In every case some pair is decided by its first arguments alone.
+  for (size_t kind = 0; kind < covered.size(); ++kind) {
+    EXPECT_GT(covered[kind], 0u) << "first-argument case " << kind;
   }
 }
 

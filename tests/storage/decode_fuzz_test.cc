@@ -318,8 +318,13 @@ TEST_F(DecodeFuzzTest, SnapshotDecoderSurvivesMutants) {
     }
     ++loaded;
     ASSERT_TRUE(InQueryIdRange(state->next_durable_id)) << "iteration " << i;
+    // Recovery re-admits pending queries in id order below the next id.
+    int64_t previous = -1;
     for (const SnapshotPendingQuery& pending : state->pending) {
       ASSERT_TRUE(InQueryIdRange(pending.id)) << "iteration " << i;
+      ASSERT_GT(pending.id, previous) << "iteration " << i;
+      ASSERT_LT(pending.id, state->next_durable_id) << "iteration " << i;
+      previous = pending.id;
     }
     Database db;
     Status built = BuildDatabaseFromSnapshot(*state, &db);

@@ -385,6 +385,49 @@ TEST(RecoveryFaultTest, NegativePendingIdSkipsTheSnapshot) {
   }
 }
 
+// Recovery re-admits a snapshot's pending queries in ascending id order
+// below its next id.  A CRC-valid snapshot that breaks either used to be
+// chosen and then fail Recover ("out of order"), although the older
+// snapshot plus the WAL recover; now it does not decode and is skipped.
+TEST(RecoveryFaultTest, PendingIdAtTheNextIdSkipsTheSnapshot) {
+  for (const bool sharded : {false, true}) {
+    TempDir dir;
+    RecordScenario(dir.path());
+    RewriteSnapshot(dir.path(), [](SnapshotState* state) {
+      ASSERT_EQ(state->pending.size(), 1u);
+      state->pending[0].id = state->next_durable_id;
+    });
+    Recovered r;
+    Rehydrate(dir.path(), &r, {}, sharded);
+    ASSERT_NE(r.durable, nullptr);
+    const RecoveryReport& report = r.durable->recovery_report();
+    EXPECT_EQ(report.snapshots_skipped, 1u);
+    EXPECT_EQ(report.snapshot_epoch, 0u);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+  }
+}
+
+TEST(RecoveryFaultTest, DescendingPendingIdsSkipTheSnapshot) {
+  for (const bool sharded : {false, true}) {
+    TempDir dir;
+    RecordScenario(dir.path());
+    RewriteSnapshot(dir.path(), [](SnapshotState* state) {
+      ASSERT_EQ(state->pending.size(), 1u);
+      ASSERT_EQ(state->pending[0].id, 2);
+      SnapshotPendingQuery earlier = state->pending[0];
+      earlier.id = 1;
+      state->pending.push_back(earlier);
+    });
+    Recovered r;
+    Rehydrate(dir.path(), &r, {}, sharded);
+    ASSERT_NE(r.durable, nullptr);
+    const RecoveryReport& report = r.durable->recovery_report();
+    EXPECT_EQ(report.snapshots_skipped, 1u);
+    EXPECT_EQ(report.snapshot_epoch, 0u);
+    EXPECT_EQ(r.durable->PendingQueries(), (std::vector<QueryId>{2, 5}));
+  }
+}
+
 TEST(RecoveryFaultTest, NextIdBeyondQueryIdRangeSkipsTheSnapshot) {
   for (const bool sharded : {false, true}) {
     TempDir dir;
